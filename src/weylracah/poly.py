@@ -13,12 +13,8 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as Rat
-
-SCALAR_TYPES = (int, Fraction, Rat)
+Rat = Fraction
+SCALAR_TYPES = (int, Fraction)
 
 __all__ = ["Rat", "Ring", "Poly", "ContextMismatchError"]
 

@@ -7,15 +7,29 @@ n-1, both u_{n-1} and its derivative are taken to be zero.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
-from typing import Iterable
+from operator import add
+from typing import Callable, Iterable
 
 from .poly import Poly, Ring
 from .report import Report, timed_check
 from .sln import DmContext, nonempty_subsets
 from .weyl import WeylOp
 
-__all__ = ["RacahContext", "check_racah_structure"]
+__all__ = ["RacahContext", "check_racah_structure", "subset_casimir"]
+
+
+def subset_casimir(a: tuple[int, ...], single: Callable, pair: Callable):
+    """Casimir of the sorted factor subset a: singletons and pairs are the
+    base cases; larger subsets are the sum of their pair Casimirs minus
+    (|a|-2) times the sum of their singleton Casimirs."""
+    if len(a) == 1:
+        return single(a[0])
+    if len(a) == 2:
+        return pair(*a)
+    pairs = reduce(add, (pair(i, j) for i, j in combinations(a, 2)))
+    return pairs - (len(a) - 2) * reduce(add, map(single, a))
 
 
 class RacahContext:
@@ -128,29 +142,11 @@ class RacahContext:
         return a
 
     def c_set(self, A: Iterable[int]) -> WeylOp:
-        """Casimir of a factor subset.
-
-        Singletons and pairs are the base cases; larger subsets are the sum
-        of their pair Casimirs minus (|A|-2) times the sum of their
-        singleton Casimirs.
-        """
+        """Casimir of a factor subset, by `subset_casimir`."""
         a = self.subset_key(A)
-        cached = self._sets.get(a)
-        if cached is not None:
-            return cached
-        if len(a) == 1:
-            op = self.c_single(a[0])
-        elif len(a) == 2:
-            op = self.c_pair(a[0], a[1])
-        else:
-            op = WeylOp.zero(self.ring)
-            for i, j in combinations(a, 2):
-                op = op + self.c_pair(i, j)
-            singles = WeylOp.zero(self.ring)
-            for i in a:
-                singles = singles + self.c_single(i)
-            op = op - (len(a) - 2) * singles
-        self._sets[a] = op
+        op = self._sets.get(a)
+        if op is None:
+            op = self._sets[a] = subset_casimir(a, self.c_single, self.c_pair)
         return op
 
 

@@ -72,9 +72,17 @@ class Report:
 
 
 def timed_check(check_id: str, description: str, build) -> Check:
-    """Run build() -> (lhs, rhs), compare, and record the elapsed time."""
+    """Run build() -> (lhs, rhs), compare, and record the elapsed time.
+
+    An exception in build() or in the comparison fails this check alone,
+    with the error text as its lhs, so the rest of the suite still runs.
+    """
     start = time.perf_counter()
-    lhs, rhs = build()
-    equal = lhs == rhs
+    try:
+        lhs, rhs = build()
+        equal = lhs == rhs
+    except Exception as exc:
+        ms = (time.perf_counter() - start) * 1000.0
+        return Check(check_id, description, f"{type(exc).__name__}: {exc}", "", False, ms)
     ms = (time.perf_counter() - start) * 1000.0
     return Check(check_id, description, repr(lhs), repr(rhs), equal, ms)

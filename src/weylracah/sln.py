@@ -4,12 +4,18 @@ The generators act on polynomials in u1..u_{m-1} and carry a deformation
 parameter k. The abstract side is the trace-zero matrix algebra with basis
 E_ij (i != j) and H_d = E_dd - E_mm; its bracket is computed from matrix
 units rather than hard-coded tables.
+
+Assemblies of generator images are recorded as provenance trees; `evaluate`
+is the one walk that turns a tree into an operator or an exact matrix.
 """
 
 from __future__ import annotations
 
+import operator
+from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .poly import Poly, Rat, Ring
 from .report import Report, timed_check
@@ -18,6 +24,7 @@ from .weyl import WeylOp
 __all__ = [
     "DmContext",
     "SlElement",
+    "evaluate",
     "nonempty_subsets",
     "check_sl_homomorphism",
     "check_lemma1",
@@ -238,29 +245,125 @@ class DmContext:
         return self.ring.u_sum(self._check_subset(B))
 
     def u_set_euler(self, B: Iterable[int]) -> WeylOp:
-        """u_B times the Euler operator, assembled from generators alone."""
-        b = self._check_subset(B)
-        op = WeylOp.zero(self.ring)
-        for j in b:
-            op = op + self.t_op(self.m, j)
-        return op
+        """u_B times the Euler operator, evaluated from `u_euler_tree`."""
+        return evaluate(u_euler_tree(self, B), self)
 
     def u_set_partial(self, B: Iterable[int], alpha: int) -> WeylOp:
-        """u_B d_alpha assembled from generators alone.
+        """u_B d_alpha, evaluated from `u_partial_tree`."""
+        return evaluate(u_partial_tree(self, B, alpha), self)
 
-        Equals -delta(alpha in B) (ttilde_alpha + Euler) minus the sum of
-        t_op(alpha, j) over j in B other than alpha.
-        """
-        b = self._check_subset(B)
-        if not 1 <= alpha <= self.m - 1:
-            raise ValueError(f"derivative index {alpha} out of range 1..{self.m - 1}")
-        op = WeylOp.zero(self.ring)
-        if alpha in b:
-            op = op - (self.ttilde_op(alpha) + self.euler_op())
-        for j in b:
-            if j != alpha:
-                op = op - self.t_op(alpha, j)
-        return op
+
+# -- provenance trees --------------------------------------------------------
+# Leaves are the generator images t_op(i, j) and ttilde_op(d), the Euler
+# operator (which stands for euler_tree) and u-free scalars in k and the nu.
+
+
+@dataclass(frozen=True)
+class GenT:
+    i: int
+    j: int
+
+
+@dataclass(frozen=True)
+class GenTtilde:
+    d: int
+
+
+@dataclass(frozen=True)
+class GenEuler:
+    pass
+
+
+@dataclass(frozen=True)
+class ScalarNode:
+    value: Poly
+
+
+@dataclass(frozen=True)
+class SumNode:
+    parts: tuple
+
+
+@dataclass(frozen=True)
+class ProdNode:
+    parts: tuple
+
+
+class TreeBackend(NamedTuple):
+    """What `evaluate` turns leaves into: `image` maps a generator's
+    operator, `scalar` a u-free polynomial, and `product` joins factors."""
+
+    image: Callable
+    scalar: Callable
+    product: Callable
+
+
+SYMBOLIC = TreeBackend(lambda op: op, WeylOp.from_poly, operator.mul)
+
+
+def evaluate(tree, dm: DmContext, backend: TreeBackend = SYMBOLIC, leaves: dict | None = None):
+    """Value of a provenance tree; generator and Euler leaves are memoised
+    in `leaves`, which may be shared between calls with the same backend."""
+    if leaves is None:
+        leaves = {}
+
+    def rec(node):
+        if isinstance(node, SumNode):
+            return reduce(operator.add, map(rec, node.parts))
+        if isinstance(node, ProdNode):
+            return reduce(backend.product, map(rec, node.parts))
+        if isinstance(node, ScalarNode):
+            return backend.scalar(node.value)
+        if not isinstance(node, (GenT, GenTtilde, GenEuler)):
+            raise TypeError(f"not a provenance node: {node!r}")
+        value = leaves.get(node)
+        if value is None:
+            if isinstance(node, GenEuler):
+                value = rec(euler_tree(dm))
+            elif isinstance(node, GenT):
+                value = backend.image(dm.t_op(node.i, node.j))
+            else:
+                value = backend.image(dm.ttilde_op(node.d))
+            leaves[node] = value
+        return value
+
+    return rec(tree)
+
+
+def is_generator_tree(tree, dm: DmContext) -> bool:
+    """True when every leaf is a generator of the model or a u-free scalar."""
+    if isinstance(tree, (SumNode, ProdNode)):
+        return bool(tree.parts) and all(is_generator_tree(part, dm) for part in tree.parts)
+    if isinstance(tree, ScalarNode):
+        p = tree.value
+        return isinstance(p, Poly) and p.ring == dm.ring and p.is_u_free()
+    if isinstance(tree, GenT):
+        return tree.i != tree.j and 1 <= tree.i <= dm.m and 1 <= tree.j <= dm.m
+    if isinstance(tree, GenTtilde):
+        return 1 <= tree.d <= dm.m - 1
+    return isinstance(tree, GenEuler)
+
+
+def euler_tree(dm: DmContext) -> ProdNode:
+    """The Euler operator from generators alone: -(k + sum_d ttilde_d)/m."""
+    total = SumNode((ScalarNode(dm.ring.k()),) + tuple(GenTtilde(d) for d in range(1, dm.m)))
+    return ProdNode((ScalarNode(dm.ring.const(Rat(-1, dm.m))), total))
+
+
+def u_euler_tree(dm: DmContext, B: Iterable[int]) -> SumNode:
+    """u_B times the Euler operator as the sum of t_op(m, j) over j in B."""
+    return SumNode(tuple(GenT(dm.m, j) for j in dm._check_subset(B)))
+
+
+def u_partial_tree(dm: DmContext, B: Iterable[int], alpha: int) -> ProdNode:
+    """u_B d_alpha = -delta(alpha in B) (ttilde_alpha + Euler) minus the
+    sum of t_op(alpha, j) over j in B other than alpha."""
+    b = dm._check_subset(B)
+    if not 1 <= alpha <= dm.m - 1:
+        raise ValueError(f"derivative index {alpha} out of range 1..{dm.m - 1}")
+    parts = (GenTtilde(alpha), GenEuler()) if alpha in b else ()
+    parts += tuple(GenT(alpha, j) for j in b if j != alpha)
+    return ProdNode((ScalarNode(dm.ring.const(-1)), SumNode(parts)))
 
 
 def check_sl_homomorphism(ctx: DmContext) -> Report:
@@ -333,18 +436,11 @@ def check_generator_membership(ctx: DmContext) -> Report:
     report = Report("membership", {"m": ctx.m, "k_mode": "symbolic"})
     ring = ctx.ring
     euler = ctx.euler_op()
-
-    def build_euler():
-        total = WeylOp.from_poly(ring.k())
-        for d in range(1, ctx.m):
-            total = total + ctx.ttilde_op(d)
-        return euler, Rat(-1, ctx.m) * total
-
     report.add(
         timed_check(
             "euler",
             "Euler operator equals -(k + sum ttilde)/m",
-            build_euler,
+            lambda: (euler, evaluate(euler_tree(ctx), ctx)),
         )
     )
     for B in nonempty_subsets(ctx.m - 1):

@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, exit codes, report formats."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import jsonschema
 
 from weylracah import run_cli
+from weylracah.report import timed_check
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -201,3 +203,60 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
     assert run_cli(["verify", "--suite", "embedding", "--n", "4"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_report_golden_digest(capsys):
+    # the full n = 4 report, timings dropped, pinned to its recorded digest
+    assert run_cli(["verify", "--suite", "all", "--n", "4", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["checks"]) == 197
+    for check in data["checks"]:
+        del check["ms"]
+    text = json.dumps(data, sort_keys=True)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == "4e7b50ca6d78922ed3d3a56e40484955d2903830d59968a710279301bcacb55c"
+
+
+def test_raising_check_fails_alone():
+    def build():
+        raise ZeroDivisionError("broken build")
+
+    check = timed_check("boom", "a check that raises", build)
+    assert not check.equal
+    assert check.lhs == "ZeroDivisionError: broken build"
+
+    class Incomparable:
+        def __eq__(self, other):
+            raise RuntimeError("no comparison")
+
+    check = timed_check("cmp", "a comparison that raises", lambda: (Incomparable(), 0))
+    assert not check.equal
+    assert check.lhs == "RuntimeError: no comparison"
+
+
+def test_raising_check_keeps_the_report(capsys, monkeypatch):
+    # a foreign leaf makes the (1,3) tree fail to evaluate inside C(1,3)
+    import weylracah.embed as embed_mod
+
+    original = embed_mod.embedded_c_pair
+
+    def broken(ctx, i, j):
+        expr = original(ctx, i, j)
+        if tuple(sorted((i, j))) == (1, 3):
+            expr = embed_mod.EmbeddedExpr(ctx, embed_mod.SumNode((expr.tree, "junk")))
+        return expr
+
+    monkeypatch.setattr(embed_mod, "embedded_c_pair", broken)
+    assert run_cli(["verify", "--suite", "embedding", "--n", "4", "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    checks = {c["id"]: c for c in data["checks"]}
+    assert not checks["prov(1,3)"]["equal"] and not checks["C(1,3)"]["equal"]
+    later = data["checks"][list(checks).index("C(1,3)") + 1 :]
+    assert len(later) == 8 and all(c["equal"] for c in later)
+    assert data["summary"] == {"passed": len(data["checks"]) - 2, "failed": 2}
+
+    assert run_cli(["verify", "--suite", "embedding", "--n", "4"]) == 1
+    out = capsys.readouterr().out
+    fail = [line.split()[1] for line in out.splitlines() if "[FAIL]" in line]
+    assert fail == ["prov(1,3)", "C(1,3)"]
+    assert "lhs: TypeError: not a provenance node: 'junk'" in out

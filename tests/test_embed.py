@@ -175,3 +175,23 @@ def test_embedded_pair_errors(rc4):
         embedded_c_pair(rc4, 2, 2)
     with pytest.raises(ValueError):
         embedded_c_pair(rc4, 0, 1)
+
+
+def test_check_tree_is_structural(rc4):
+    ring = rc4.ring
+    assert EmbeddedExpr(rc4, SumNode((GenT(3, 1), ScalarNode(ring.nu(1))))).check_tree()
+    # a u-dependent scalar that bypasses EmbeddedExpr.scalar
+    assert not EmbeddedExpr(rc4, SumNode((GenT(3, 1), ScalarNode(ring.u(1))))).check_tree()
+    # an operator smuggled in as a leaf
+    assert not EmbeddedExpr(rc4, ProdNode((GenT(3, 1), rc4.dm.t_op(3, 1)))).check_tree()
+    # index pairs that name no generator of the rank-3 model
+    assert not EmbeddedExpr(rc4, GenT(4, 1)).check_tree()
+    assert not EmbeddedExpr(rc4, GenTtilde(3)).check_tree()
+
+
+def test_op_is_evaluated_from_the_tree(rc4):
+    expr = embedded_c_pair(rc4, 2, 4)
+    assert expr.op is expr.op
+    assert expr.op == eval_tree(rc4, expr.tree) == rc4.c_pair(2, 4)
+    with pytest.raises(TypeError):
+        EmbeddedExpr(rc4, SumNode((GenT(3, 1), "junk"))).op

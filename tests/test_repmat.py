@@ -15,10 +15,13 @@ from weylracah import (
     WeylOp,
     basis,
     embedded_c_pair,
+    eval_tree,
     eval_tree_matrix,
     mat_check_identity,
+    nonempty_subsets,
     to_matrix,
 )
+from weylracah.sln import GenEuler, u_euler_tree, u_partial_tree
 
 
 def test_basis_small():
@@ -168,3 +171,18 @@ def test_column_convention():
     pi = basis(rc.ring, 1)
     mat = to_matrix(WeylOp.partial(rc.ring, 1), pi, fixed_assignment(4, 1))
     assert mat.rows[0][1] == 1
+
+
+def test_euler_leaf_and_assemblies_agree_across_backends():
+    # both backends expand the Euler leaf; their values must match exactly
+    rc = RacahContext(4)
+    dm = rc.dm
+    pi = basis(rc.ring, 2)
+    values = fixed_assignment(4, 2)
+    trees = [GenEuler()]
+    for B in nonempty_subsets(dm.m - 1):
+        trees.append(u_euler_tree(dm, B))
+        trees += [u_partial_tree(dm, B, alpha) for alpha in range(1, dm.m)]
+    assert len(trees) == 10
+    for tree in trees:
+        assert to_matrix(eval_tree(rc, tree), pi, values) == eval_tree_matrix(rc, tree, pi, values, {})
