@@ -7,6 +7,7 @@ leakage error, 2 on usage or expression errors.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .dsl import ParseError, elaborate, parse
@@ -19,6 +20,10 @@ from .report import Report
 from .sln import check_generator_membership, check_lemma1, check_sl_homomorphism
 
 SUITES = ("sln", "lemma1", "racah", "embedding", "all")
+# Largest --n: the ring has 2n - 1 symbols and the racah suite about 3^n checks.
+MAX_N = 12
+# A --nu value: an integer p or a fraction p/q, as the README documents.
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,6 +80,9 @@ def run_cli(argv=None) -> int:
     if args.n < 3:
         print(f"error: --n must be at least 3, got {args.n}", file=sys.stderr)
         return 2
+    if args.n > MAX_N:
+        print(f"error: --n must be at most {MAX_N}, got {args.n}", file=sys.stderr)
+        return 2
     ctx = RacahContext(args.n)
 
     try:
@@ -111,6 +119,8 @@ def run_cli(argv=None) -> int:
                 )
                 return 2
             try:
+                if not all(_RATIONAL.fullmatch(piece) for piece in parts):
+                    raise ValueError(args.nu)
                 values = [Rat(piece) for piece in parts]
             except (ValueError, ZeroDivisionError):
                 print(f"error: could not parse rationals from {args.nu!r}", file=sys.stderr)
@@ -118,8 +128,8 @@ def run_cli(argv=None) -> int:
             assignment = {"k": Rat(args.k)}
             for i, v in enumerate(values, start=1):
                 assignment[f"nu{i}"] = v
-            op = elaborate(parse(args.op, ctx), ctx)
             pi = basis(ctx.ring, args.k)
+            op = elaborate(parse(args.op, ctx), ctx)
             try:
                 print(to_matrix(op, pi, assignment).dump())
             except LeakageError as exc:

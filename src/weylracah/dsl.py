@@ -24,6 +24,9 @@ from .weyl import WeylOp
 
 __all__ = ["ParseError", "parse", "elaborate"]
 
+# Largest exponent after '^'; each power of an operator grows its Leibniz expansion.
+MAX_EXPONENT = 64
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
@@ -169,7 +172,10 @@ class _Parser:
             etok = self._next()
             if etok[0] != "number" or "/" in etok[1]:
                 raise ParseError("exponent must be a non-negative integer", etok[2])
-            return Pow(base, int(etok[1]))
+            exponent = etok[1].lstrip("0") or "0"
+            if len(exponent) > 2 or int(exponent) > MAX_EXPONENT:
+                raise ParseError(f"exponent {etok[1]} exceeds the limit {MAX_EXPONENT}", etok[2])
+            return Pow(base, int(exponent))
         return base
 
     def atom(self):

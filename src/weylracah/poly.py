@@ -9,6 +9,7 @@ equality.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -16,7 +17,7 @@ from typing import Iterable, Mapping
 Rat = Fraction
 SCALAR_TYPES = (int, Fraction)
 
-__all__ = ["Rat", "Ring", "Poly", "ContextMismatchError"]
+__all__ = ["Rat", "Ring", "SparseSum", "Poly", "ContextMismatchError"]
 
 
 class ContextMismatchError(ValueError):
@@ -116,7 +117,81 @@ def grlex_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
 
-class Poly:
+class SparseSum:
+    """Ring operations shared by Poly and WeylOp.
+
+    An element is a finite map `terms` from keys (monomials, or derivative
+    exponents) to nonzero coefficients over `ring`. A subclass supplies the
+    constructor `(ring, terms, *, _trusted)`, `_coerce`, which turns an
+    operand into the subclass or returns None, and its own product.
+    """
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.ring == other.ring and self.terms == other.terms
+
+    def __neg__(self):
+        return type(self)(self.ring, {key: -c for key, c in self.terms.items()}, _trusted=True)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for key, c in small.items():
+            acc = out.get(key)
+            if acc is None:
+                out[key] = c
+            else:
+                acc = acc + c
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+        return type(self)(self.ring, out, _trusted=True)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("power must be a non-negative integer")
+        result = self._coerce(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+
+class Poly(SparseSum):
     """Immutable sparse polynomial; never stores zero coefficients."""
 
     __slots__ = ("ring", "terms")
@@ -147,58 +222,12 @@ class Poly:
             return self.ring.const(other)
         return None
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, SCALAR_TYPES):
-            other = self.ring.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
-    def __neg__(self):
-        return Poly(self.ring, {m: -c for m, c in self.terms.items()}, _trusted=True)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        big, small = self.terms, other.terms
-        if len(big) < len(small):
-            big, small = small, big
-        out = dict(big)
-        for m, c in small.items():
-            acc = out.get(m)
-            if acc is None:
-                out[m] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[m] = acc
-                else:
-                    del out[m]
-        return Poly(self.ring, out, _trusted=True)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+    # Poly's own entry: perfbench/tracing.py wraps Poly.__add__ without
+    # touching WeylOp's additions, which inherit SparseSum.__add__.
+    __add__ = __radd__ = SparseSum.__add__
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -223,48 +252,40 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial power must be a non-negative integer")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def diff(self, var_index: int) -> "Poly":
         """Formal partial derivative with respect to u_{var_index} (1-based).
 
         Parameters k and nu are constants, so only u-variables admit a
         derivative.
         """
-        if not 1 <= var_index <= self.ring.num_vars:
-            raise ValueError(
-                f"derivative index {var_index} out of range 1..{self.ring.num_vars}"
-            )
-        pos = var_index - 1
-        out = {}
-        for m, c in self.terms.items():
-            e = m[pos]
-            if e:
-                key = m[:pos] + (e - 1,) + m[pos + 1 :]
-                acc = out.get(key)
-                nc = c * e
-                out[key] = nc if acc is None else acc + nc
-        return Poly(self.ring, {m: c for m, c in out.items() if c}, _trusted=True)
+        nv = self.ring.num_vars
+        if not 1 <= var_index <= nv:
+            raise ValueError(f"derivative index {var_index} out of range 1..{nv}")
+        return self.diff_multi(tuple(int(pos == var_index - 1) for pos in range(nv)))
 
     def diff_multi(self, orders: tuple) -> "Poly":
-        """Iterated derivative; orders[i] applications of d/du_{i+1}."""
-        p = self
-        for pos, times in enumerate(orders):
-            for _ in range(times):
-                if not p.terms:
-                    return p
-                p = p.diff(pos + 1)
-        return p
+        """Iterated derivative; orders[i] applications of d/du_{i+1}.
+
+        One pass over the terms: u^e goes to e!/(e-o)! u^(e-o), and to zero
+        when e < o. Distinct monomials stay distinct, so nothing merges.
+        """
+        if any(orders[self.ring.num_vars :]):
+            raise ValueError(f"derivative orders {orders} name a parameter of {self.ring!r}")
+        active = [(pos, o) for pos, o in enumerate(orders) if o]
+        if not active:
+            return self
+        out = {}
+        for m, c in self.terms.items():
+            key = list(m)
+            for pos, o in active:
+                e = m[pos]
+                if e < o:
+                    break
+                c = c * math.perm(e, o)
+                key[pos] = e - o
+            else:
+                out[tuple(key)] = c
+        return Poly(self.ring, out, _trusted=True)
 
     def subs(self, assignment: Mapping[str, object]) -> "Poly":
         """Substitute rational values for symbols named in the assignment.

@@ -44,7 +44,6 @@ class RacahContext:
         self.dm = DmContext(n - 1, self.ring)
         self._pairs: dict = {}
         self._sets: dict = {}
-        self._euler_sum: WeylOp | None = None
 
     def __repr__(self):
         return f"RacahContext(n={self.n})"
@@ -60,13 +59,9 @@ class RacahContext:
         return self.ring.u_sum(range(lo, hi + 1))
 
     def euler_sum(self) -> WeylOp:
-        """sum_l u_l d_l over all n-2 variables (without the k shift)."""
-        if self._euler_sum is None:
-            op = WeylOp.zero(self.ring)
-            for i in range(1, self.n - 1):
-                op = op + self.ring.u(i) * WeylOp.partial(self.ring, i)
-            self._euler_sum = op
-        return self._euler_sum
+        """sum_l u_l d_l over all n-2 variables: the ambient Euler operator
+        without its -k shift."""
+        return self.dm.euler_op() + self.ring.k()
 
     def _nu_pair_constant(self, i: int, j: int) -> Poly:
         s = self.ring.nu(i) + self.ring.nu(j)

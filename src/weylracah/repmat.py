@@ -8,14 +8,18 @@ the degree bound, because invariance of the space relies on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
-from .poly import Poly, Rat, Ring
+from .poly import Poly, Rat, Ring, _as_rat
 from .weyl import WeylOp
 
 __all__ = ["LeakageError", "PiBasis", "OpMatrix", "basis", "to_matrix", "mat_check_identity"]
+
+# Largest basis that `basis` builds: a matrix over it is dense, size^2 rationals.
+MAX_BASIS = 2000
 
 
 class LeakageError(Exception):
@@ -46,6 +50,12 @@ def basis(ring: Ring, degree: int) -> PiBasis:
     if degree < 0:
         raise ValueError("degree bound must be non-negative")
     m = ring.num_vars
+    size = math.comb(degree + m, m)
+    if size > MAX_BASIS:
+        raise ValueError(
+            f"degree <= {degree} in {m} variables gives {size} basis monomials, "
+            f"limit is {MAX_BASIS}"
+        )
     tail = (0,) * (1 + ring.num_nu)
     monos = [
         exps + tail
@@ -77,7 +87,7 @@ class OpMatrix:
 
     @staticmethod
     def scalar(size: int, value) -> "OpMatrix":
-        v = Rat(value)
+        v = _as_rat(value)
         out = OpMatrix.zero(size)
         for i in range(size):
             out.rows[i][i] = v
@@ -110,7 +120,7 @@ class OpMatrix:
         return self + (-other)
 
     def __rmul__(self, value) -> "OpMatrix":
-        v = Rat(value)
+        v = _as_rat(value)
         return OpMatrix([[v * e for e in row] for row in self.rows])
 
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
@@ -145,7 +155,7 @@ class OpMatrix:
 
 
 def _full_assignment(ring: Ring, pi: PiBasis, assignment: Mapping[str, object]) -> dict:
-    values = {name: Rat(v) for name, v in assignment.items()}
+    values = {name: _as_rat(v) for name, v in assignment.items()}
     for name in values:
         ring.index_of(name)
         if name.startswith("u"):

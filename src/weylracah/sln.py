@@ -17,7 +17,7 @@ from functools import reduce
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .poly import Poly, Rat, Ring
+from .poly import Poly, Rat, Ring, _as_rat
 from .report import Report, timed_check
 from .weyl import WeylOp
 
@@ -48,7 +48,7 @@ class SlElement:
 
     def __init__(self, m: int, coeffs: dict):
         self.m = m
-        self.coeffs = {key: Rat(c) for key, c in coeffs.items() if c}
+        self.coeffs = {key: _as_rat(c) for key, c in coeffs.items() if c}
 
     @staticmethod
     def zero(m: int) -> "SlElement":
@@ -111,53 +111,53 @@ class SlElement:
         return self + (-other)
 
     def __rmul__(self, scalar) -> "SlElement":
-        s = Rat(scalar)
+        s = _as_rat(scalar)
         return SlElement(self.m, {key: s * c for key, c in self.coeffs.items()})
 
-    def to_matrix(self) -> list[list[Rat]]:
+    def _entries(self) -> dict:
+        """Matrix entries {(i, j): value}: E_ij is entry (i, j), and H_d adds
+        to entry (d, d) and subtracts from entry (m, m)."""
         m = self.m
-        mat = [[Rat(0)] * m for _ in range(m)]
+        out = {}
         for key, c in self.coeffs.items():
             if key[0] == "E":
-                _, i, j = key
-                mat[i - 1][j - 1] += c
+                out[key[1:]] = c
             else:
-                _, d = key
-                mat[d - 1][d - 1] += c
-                mat[m - 1][m - 1] -= c
-        return mat
+                out[(key[1], key[1])] = c
+                out[(m, m)] = out.get((m, m), 0) - c
+        return out
+
+    @staticmethod
+    def _from_entries(m: int, entries: dict) -> "SlElement":
+        """The element with these matrix entries: (i, j) gives E_ij, (d, d)
+        gives H_d, and entry (m, m) is fixed by the trace."""
+        if sum(c for (i, j), c in entries.items() if i == j):
+            raise ValueError("matrix is not trace-free")
+        coeffs = {}
+        for (i, j), c in entries.items():
+            if i != j:
+                coeffs[("E", i, j)] = c
+            elif i < m:
+                coeffs[("H", i)] = c
+        return SlElement(m, coeffs)
 
     @staticmethod
     def from_matrix(m: int, mat: Sequence[Sequence[Rat]]) -> "SlElement":
-        trace = sum(mat[i][i] for i in range(m))
-        if trace:
-            raise ValueError("matrix is not trace-free")
-        coeffs = {}
-        for i in range(m):
-            for j in range(m):
-                if i != j and mat[i][j]:
-                    coeffs[("E", i + 1, j + 1)] = mat[i][j]
-        for d in range(m - 1):
-            if mat[d][d]:
-                coeffs[("H", d + 1)] = mat[d][d]
-        return SlElement(m, coeffs)
+        entries = {(i + 1, j + 1): mat[i][j] for i in range(m) for j in range(m)}
+        return SlElement._from_entries(m, entries)
 
     def bracket(self, other: "SlElement") -> "SlElement":
-        """Lie bracket computed as the matrix commutator XY - YX."""
+        """Lie bracket XY - YX by matrix units: E_ij E_kl = delta_jk E_il."""
         self._check_rank(other)
-        m = self.m
-        x = self.to_matrix()
-        y = other.to_matrix()
-        out = [[Rat(0)] * m for _ in range(m)]
-        for i in range(m):
-            xi = x[i]
-            yi = y[i]
-            for l in range(m):
-                acc = Rat(0)
-                for j in range(m):
-                    acc += xi[j] * y[j][l] - yi[j] * x[j][l]
-                out[i][l] = acc
-        return SlElement.from_matrix(m, out)
+        x, y = self._entries(), other._entries()
+        out = {}
+        for (i, j), a in x.items():
+            for (k, l), b in y.items():
+                if j == k:
+                    out[(i, l)] = out.get((i, l), 0) + a * b
+                if l == i:
+                    out[(k, j)] = out.get((k, j), 0) - b * a
+        return SlElement._from_entries(self.m, out)
 
     def __repr__(self):
         return f"SlElement({self.label()})"

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Mapping
 
-from .poly import SCALAR_TYPES, ContextMismatchError, Poly, Ring
+from .poly import SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum
 
 __all__ = ["WeylOp", "commutator"]
 
@@ -36,8 +36,12 @@ def _lower_exponents(alpha: tuple) -> tuple:
     return tuple(out)
 
 
-class WeylOp:
-    """Element of the Weyl algebra over a ring's u-variables, in normal form."""
+class WeylOp(SparseSum):
+    """Element of the Weyl algebra over a ring's u-variables, in normal form.
+
+    Sums, negation, equality and powers come from SparseSum; the product is
+    normal-ordered composition.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -102,56 +106,6 @@ class WeylOp:
             return WeylOp.scalar(self.ring, other)
         return None
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, SCALAR_TYPES + (Poly,)):
-            other = self._coerce(other)
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    def __neg__(self):
-        return WeylOp(self.ring, {a: -p for a, p in self.terms.items()}, _trusted=True)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        big, small = self.terms, other.terms
-        if len(big) < len(small):
-            big, small = small, big
-        out = dict(big)
-        for alpha, p in small.items():
-            acc = out.get(alpha)
-            if acc is None:
-                out[alpha] = p
-            else:
-                acc = acc + p
-                if acc:
-                    out[alpha] = acc
-                else:
-                    del out[alpha]
-        return WeylOp(self.ring, out, _trusted=True)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         """Normal-ordered composition self after other.
 
@@ -198,14 +152,6 @@ class WeylOp:
         if other is None:
             return NotImplemented
         return other * self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("operator power must be a non-negative integer")
-        result = WeylOp.identity(self.ring)
-        for _ in range(n):
-            result = result * self
-        return result
 
     # -- actions -----------------------------------------------------------
 

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import jsonschema
+import pytest
 
-from weylracah import run_cli
+import weylracah
+from weylracah import cli, run_cli
 from weylracah.report import timed_check
 
 REPORT_SCHEMA = {
@@ -178,10 +181,14 @@ def test_usage_error():
 
 
 def test_module_invocation_subprocess():
+    # the child imports the package from where this test process found it
+    package_root = os.path.dirname(os.path.dirname(weylracah.__file__))
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "weylracah", "normalize", "--n", "3", "--expr", "Td[1]"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-2 u1 d1 + k"
@@ -260,3 +267,38 @@ def test_raising_check_keeps_the_report(capsys, monkeypatch):
     fail = [line.split()[1] for line in out.splitlines() if "[FAIL]" in line]
     assert fail == ["prov(1,3)", "C(1,3)"]
     assert "lhs: TypeError: not a provenance node: 'junk'" in out
+
+
+class Reached(Exception):
+    """Raised by a stand-in for work that an input guard must prevent."""
+
+
+def refuse(*args, **kwargs):
+    raise Reached
+
+
+def test_n_limit(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "RacahContext", refuse)
+    for n in ("13", "1000000000"):
+        assert run_cli(["normalize", "--n", n, "--expr", "d1"]) == 2
+        assert "at most 12" in capsys.readouterr().err
+    assert run_cli(["verify", "--suite", "sln", "--n", "13"]) == 2
+    with pytest.raises(Reached):
+        run_cli(["normalize", "--n", "12", "--expr", "d1"])
+
+
+def test_matrix_basis_limit(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "to_matrix", refuse)
+    args = ["matrix", "--n", "3", "--nu", "1,2,3", "--op", "d1", "--k"]
+    assert run_cli(args + ["2000"]) == 2
+    assert "2001 basis monomials, limit is 2000" in capsys.readouterr().err
+    with pytest.raises(Reached):
+        run_cli(args + ["1999"])
+
+
+def test_matrix_nu_grammar(capsys):
+    base = ["matrix", "--n", "3", "--k", "1", "--op", "d1", "--nu"]
+    for nu in ("1,2,1e3", "0.5,1,2", "1,+2,3", "1,2,3/0"):
+        assert run_cli(base + [nu]) == 2
+        assert "could not parse rationals" in capsys.readouterr().err
+    assert run_cli(base + ["-1/2, 3 ,7/4"]) == 0

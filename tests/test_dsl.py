@@ -163,3 +163,14 @@ def test_round_trip_random_ops(rc):
     for _ in range(100):
         op = random_weyl(rng, rc.ring)
         assert run(print_canonical(op), rc) == op
+
+
+def test_exponent_limit(rc):
+    # parsed only: an over-limit power is never built
+    assert parse("d1^64", rc).exponent == 64
+    assert parse("d1^0064", rc).exponent == 64
+    for text in ("d1^65", "u1^99999999999", "(d1 + u1)^100"):
+        with pytest.raises(ParseError) as info:
+            parse(text, rc)
+        assert info.value.position == text.index("^") + 1
+        assert "limit 64" in str(info.value)

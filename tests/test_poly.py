@@ -1,5 +1,6 @@
 """Coefficient ring: construction, arithmetic, derivatives, substitution."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -75,6 +76,8 @@ def test_diff_rejects_parameter_index(ring):
         ring.one().diff(3)
     with pytest.raises(ValueError):
         ring.one().diff(0)
+    with pytest.raises(ValueError):
+        ring.one().diff_multi((0, 0, 1))
 
 
 def test_subs_parameter(ring):
@@ -143,6 +146,8 @@ def test_constant_value(ring):
     assert ring.zero().constant_value() == 0
     with pytest.raises(ValueError):
         (ring.u(1) + 1).constant_value()
+    with pytest.raises(TypeError):
+        ring.const(0.1)
 
 
 def test_ring_axioms_bulk():
@@ -168,3 +173,20 @@ def test_derivation_rule_bulk():
         q = random_poly(rng, ring)
         for i in (1, 2):
             assert (p * q).diff(i) == p.diff(i) * q + p * q.diff(i)
+
+
+def iterated_diff(p, orders):
+    """Reference for diff_multi: orders[i] single derivatives in u_{i+1}."""
+    for pos, times in enumerate(orders):
+        for _ in range(times):
+            p = p.diff(pos + 1)
+    return p
+
+
+def test_diff_multi_matches_iterated_diff():
+    rng = random.Random(20243)
+    ring = Ring(3, 1)
+    for _ in range(60):
+        p = random_poly(rng, ring, max_degree=6, max_terms=5)
+        for orders in itertools.product(range(4), repeat=3):
+            assert p.diff_multi(orders) == iterated_diff(p, orders), (p, orders)

@@ -168,3 +168,13 @@ def test_full_casimir_scalar_on_constant():
 def test_context_requires_three_factors():
     with pytest.raises(ValueError):
         RacahContext(2)
+
+
+def test_euler_sum_is_sum_of_u_d():
+    for n in (3, 4, 5, 6):
+        rc = RacahContext(n)
+        terms = {}
+        for l in range(1, n - 1):
+            d_l = tuple(int(pos == l - 1) for pos in range(n - 2))
+            terms[d_l] = rc.ring.u(l)
+        assert rc.euler_sum() == WeylOp(rc.ring, terms)

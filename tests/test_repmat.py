@@ -43,6 +43,15 @@ def test_basis_counts():
         assert basis(Ring(m, 0), k).size == math.comb(k + m, m)
 
 
+def test_basis_size_limit():
+    # the limit is counted before any monomial is built
+    assert basis(Ring(1, 3), 1999).size == 2000
+    with pytest.raises(ValueError, match="2001 basis monomials"):
+        basis(Ring(1, 3), 2000)
+    with pytest.raises(ValueError, match="2016 basis monomials"):
+        basis(Ring(2, 4), 62)
+
+
 def test_basis_rejects_negative_degree():
     with pytest.raises(ValueError):
         basis(Ring(2, 0), -1)
@@ -160,6 +169,8 @@ def test_matrix_algebra():
     assert eye - eye == zero
     assert zero.is_zero()
     assert (2 * eye).rows[0][0] == 2
+    with pytest.raises(TypeError):
+        0.1 * OpMatrix.identity(2)
     with pytest.raises(ValueError):
         eye @ OpMatrix.identity(2)
 

@@ -1,6 +1,10 @@
 """sl realization: generators, isomorphism, membership identities."""
 
+import random
+
 import pytest
+
+from helpers import random_rational
 
 from weylracah import (
     DmContext,
@@ -108,6 +112,13 @@ def test_bracket_from_matrix_units():
 def test_from_matrix_rejects_trace(ctx3):
     with pytest.raises(ValueError):
         SlElement.from_matrix(2, [[Rat(1), Rat(0)], [Rat(0), Rat(0)]])
+    # floats are not exact coefficients, however they enter
+    with pytest.raises(TypeError):
+        SlElement.from_matrix(2, [[0.5, 0], [0, -0.5]])
+    with pytest.raises(TypeError):
+        SlElement(3, {("E", 1, 2): 0.1})
+    with pytest.raises(TypeError):
+        0.5 * SlElement.E(3, 1, 2)
 
 
 def test_rank_two_bracket_is_ttilde():
@@ -181,3 +192,42 @@ def test_context_validation():
 
     with pytest.raises(ValueError):
         DmContext(3, Ring(5, 0))
+
+
+def dense(x):
+    """Reference m x m matrix of an sl element, read from its coefficients."""
+    m = x.m
+    mat = [[Rat(0)] * m for _ in range(m)]
+    for key, c in x.coeffs.items():
+        if key[0] == "E":
+            mat[key[1] - 1][key[2] - 1] += c
+        else:
+            mat[key[1] - 1][key[1] - 1] += c
+            mat[m - 1][m - 1] -= c
+    return mat
+
+
+def dense_commutator(a, b):
+    m = len(a)
+    return [
+        [sum(a[i][j] * b[j][l] - b[i][j] * a[j][l] for j in range(m)) for l in range(m)]
+        for i in range(m)
+    ]
+
+
+def test_sparse_bracket_matches_dense_commutator():
+    rng = random.Random(20245)
+    for m in (2, 3, 4, 5):
+        basis = SlElement.basis(m)
+        for x in basis:
+            for y in basis:
+                assert dense(x.bracket(y)) == dense_commutator(dense(x), dense(y)), (x, y)
+        for _ in range(40):
+            x, y = (
+                sum(
+                    (random_rational(rng) * rng.choice(basis) for _ in range(3)),
+                    SlElement.zero(m),
+                )
+                for _ in range(2)
+            )
+            assert dense(x.bracket(y)) == dense_commutator(dense(x), dense(y)), (x, y)

@@ -175,3 +175,12 @@ def test_pow(ring):
     d1 = WeylOp.partial(ring, 1)
     assert d1**0 == WeylOp.identity(ring)
     assert d1**3 == WeylOp(ring, {(3, 0): ring.one()})
+    # powers by squaring against repeated composition
+    rng = random.Random(20244)
+    ring = Ring(2, 1)
+    for _ in range(20):
+        op = random_weyl(rng, ring)
+        expected = WeylOp.identity(ring)
+        for n in range(6):
+            assert op**n == expected, (op, n)
+            expected = expected * op
