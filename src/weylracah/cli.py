@@ -7,6 +7,7 @@ leakage error, 2 on usage or expression errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import re
 import sys
 
@@ -35,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run an identity-verification suite")
     verify.add_argument("--suite", choices=SUITES, required=True)
-    verify.add_argument("--n", type=int, required=True, help="number of factors (>= 3)")
+    verify.add_argument("--n", type=int, required=True, help=f"number of factors (3..{MAX_N})")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", default=None, help="write the report to a file")
 
@@ -87,13 +88,20 @@ def run_cli(argv=None) -> int:
 
     try:
         if args.command == "verify":
-            report = _run_suite(args.suite, ctx)
-            text = report.to_json() if args.format == "json" else report.to_text()
+            # open the report file first, so a bad --out fails before any suite runs
+            out = contextlib.nullcontext(sys.stdout)
             if args.out:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write(text + "\n")
-            else:
-                print(text)
+                try:
+                    out = open(args.out, "w", encoding="utf-8")
+                except OSError as exc:
+                    print(
+                        f"error: cannot write report to {args.out}: {exc.strerror}",
+                        file=sys.stderr,
+                    )
+                    return 2
+            with out as handle:
+                report = _run_suite(args.suite, ctx)
+                print(report.to_json() if args.format == "json" else report.to_text(), file=handle)
             return 0 if report.ok() else 1
 
         if args.command == "normalize":

@@ -26,6 +26,8 @@ __all__ = ["ParseError", "parse", "elaborate"]
 
 # Largest exponent after '^'; each power of an operator grows its Leibniz expansion.
 MAX_EXPONENT = 64
+# Deepest nesting of '(' and unary '-'; the parser and `elaborate` recurse per level.
+MAX_DEPTH = 64
 
 
 class ParseError(ValueError):
@@ -112,6 +114,7 @@ class _Parser:
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -186,12 +189,17 @@ class _Parser:
                 return Num(Rat(value))
             except ZeroDivisionError:
                 raise ParseError("rational literal with zero denominator", where) from None
-        if kind == "punct" and value == "(":
-            inner = self.expr()
-            self._expect(")")
-            return inner
-        if kind == "punct" and value == "-":
-            return Neg(self.factor())
+        if kind == "punct" and value in ("(", "-"):
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"nesting deeper than the limit {MAX_DEPTH}", where)
+            self.depth += 1
+            if value == "(":
+                node = self.expr()
+                self._expect(")")
+            else:
+                node = Neg(self.factor())
+            self.depth -= 1
+            return node
         if kind == "name":
             follow = self._peek()
             if follow is not None and follow[0] == "punct" and follow[1] == "[":

@@ -239,77 +239,54 @@ def embedded_c_set(ctx: RacahContext, A: Iterable[int]) -> EmbeddedExpr:
 
 
 def _rewriting_checks(ctx: RacahContext, report: Report) -> None:
-    """The normal-ordering steps that justify each embedded product form."""
-    ring = ctx.ring
-    k = ring.k()
-    eu = ctx.euler_sum()
+    """The normal-ordering steps that justify each embedded product form.
+
+    Each chain starts from the leading term of the pair Casimir it rewrites,
+    as `c_pair` computes it, and ends in a product of L blocks.
+    """
     euler = ctx.dm.euler_op()
+
+    def raised(j):
+        """(1 - u_B)^2 (d_{j-2} - d_{j-1}) Euler with B = {1..j-2}."""
+        return (ctx.ring.one() - ctx.u_range(1, j - 2)) ** 2 * (ctx.step(j) * euler)
+
+    def lowered(j):
+        """-u_B^2 (d_{j-2} - d_{j-1}) (-d_1 + Euler) with B = {1..j-2}."""
+        return -(ctx.u_range(1, j - 2) ** 2 * (ctx.step(j) * (-ctx.partial_or_zero(1) + euler)))
+
     for j in range(3, ctx.n + 1):
-        u_b = ctx.u_range(1, j - 2)
-        front = ring.one() - u_b
-        step = ctx.partial_or_zero(j - 2) - ctx.partial_or_zero(j - 1)
-        l1 = l_op(ctx, "L1", j)
-        l2 = l_op(ctx, "L2", j)
-        l3 = l_op(ctx, "L3", j)
-        l4 = l_op(ctx, "L4", j)
-        lower = -ctx.partial_or_zero(1) + euler
+
+        def rw1b():
+            l1, l2 = l_op(ctx, "L1", j).op, l_op(ctx, "L2", j).op
+            return raised(j), l1 * l2 + l2
+
+        def rw2b():
+            l3, l4 = l_op(ctx, "L3", j).op, l_op(ctx, "L4", j).op
+            return lowered(j), -(l3 * l4) + l4
 
         report.add(
             timed_check(
                 f"rw1a({j})",
                 "degree factor commutes through the step derivative",
-                lambda front=front, step=step: (
-                    -(front**2 * ((WeylOp.from_poly(k - 1) - eu) * step)),
-                    front**2 * (step * euler),
-                ),
+                lambda: (ctx.c_pair_lead(1, j), raised(j)),
             )
         )
-        report.add(
-            timed_check(
-                f"rw1b({j})",
-                "first term splits as L1 L2 + L2",
-                lambda front=front, step=step, l1=l1, l2=l2: (
-                    front**2 * (step * euler),
-                    l1.op * l2.op + l2.op,
-                ),
-            )
-        )
+        report.add(timed_check(f"rw1b({j})", "first term splits as L1 L2 + L2", rw1b))
         report.add(
             timed_check(
                 f"rw2a({j})",
                 "lowering factor commutes through the step derivative",
-                lambda u_b=u_b, step=step, lower=lower: (
-                    -(u_b**2 * ((WeylOp.from_poly(1 - k) - ctx.partial_or_zero(1) + eu) * step)),
-                    -(u_b**2 * (step * lower)),
-                ),
+                lambda: (ctx.c_pair_lead(2, j), lowered(j)),
             )
         )
-        report.add(
-            timed_check(
-                f"rw2b({j})",
-                "first term splits as -L3 L4 + L4",
-                lambda u_b=u_b, step=step, lower=lower, l3=l3, l4=l4: (
-                    -(u_b**2 * (step * lower)),
-                    -(l3.op * l4.op) + l4.op,
-                ),
-            )
-        )
+        report.add(timed_check(f"rw2b({j})", "first term splits as -L3 L4 + L4", rw2b))
     for lo, hi in combinations(range(3, ctx.n + 1), 2):
-        u_b = ctx.u_range(lo - 1, hi - 2)
-        step_hi = ctx.partial_or_zero(hi - 2) - ctx.partial_or_zero(hi - 1)
-        step_lo = ctx.partial_or_zero(lo - 2) - ctx.partial_or_zero(lo - 1)
-        l5 = l_op_pair(ctx, "L5", hi, lo)
-        l6 = l_op_pair(ctx, "L6", hi, lo)
-        report.add(
-            timed_check(
-                f"rw3({lo},{hi})",
-                "first term splits as -L5 L6 + L6",
-                lambda u_b=u_b, step_hi=step_hi, step_lo=step_lo, l5=l5, l6=l6: (
-                    -(u_b**2 * (step_hi * step_lo)),
-                    -(l5.op * l6.op) + l6.op,
-                ),
-            )
-        )
+
+        def rw3():
+            l5, l6 = l_op_pair(ctx, "L5", hi, lo).op, l_op_pair(ctx, "L6", hi, lo).op
+            return ctx.c_pair_lead(lo, hi), -(l5 * l6) + l6
+
+        report.add(timed_check(f"rw3({lo},{hi})", "first term splits as -L5 L6 + L6", rw3))
 
 
 def verify_embedding(ctx: RacahContext) -> Report:
@@ -317,20 +294,19 @@ def verify_embedding(ctx: RacahContext) -> Report:
     report = Report("embedding", {"n": ctx.n, "k_mode": "symbolic"})
     _rewriting_checks(ctx, report)
     for lo, hi in combinations(range(1, ctx.n + 1), 2):
-        expr = embedded_c_pair(ctx, hi, lo)
         # prov checks the tree's leaves (generators, u-free scalars); C its value
         report.add(
             timed_check(
                 f"prov({lo},{hi})",
                 "provenance tree reproduces the stored operator",
-                lambda expr=expr: (expr.check_tree(), True),
+                lambda: (embedded_c_pair(ctx, hi, lo).check_tree(), True),
             )
         )
         report.add(
             timed_check(
                 f"C({lo},{hi})",
                 "embedded pair Casimir equals the direct realization",
-                lambda expr=expr, lo=lo, hi=hi: (expr.op, ctx.c_pair(lo, hi)),
+                lambda: (embedded_c_pair(ctx, hi, lo).op, ctx.c_pair(lo, hi)),
             )
         )
     return report

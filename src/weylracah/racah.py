@@ -74,8 +74,16 @@ class RacahContext:
         nu = self.ring.nu(i)
         return WeylOp.from_poly(nu * (nu - 1))
 
+    def step(self, j: int) -> WeylOp:
+        """d_{j-2} - d_{j-1}, the step derivative of the factor index j."""
+        return self.partial_or_zero(j - 2) - self.partial_or_zero(j - 1)
+
     def c_pair(self, i: int, j: int) -> WeylOp:
-        """Two-factor Casimir; the unordered pair selects one of four shapes."""
+        """Two-factor Casimir; the unordered pair selects one of four shapes.
+
+        Each shape is its quadratic leading term plus lower-order terms; the
+        leading term is cached with the operator (see `c_pair_lead`).
+        """
         if i == j:
             raise ValueError("pair Casimir needs two distinct factors")
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -83,50 +91,59 @@ class RacahContext:
         lo, hi = sorted((i, j))
         cached = self._pairs.get((lo, hi))
         if cached is not None:
-            return cached
+            return cached[1]
 
         ring = self.ring
         k = ring.k()
         eu = self.euler_sum()
         if (lo, hi) == (1, 2):
             lower = WeylOp.from_poly(-k) - self.partial_or_zero(1) + eu
+            lead = -((WeylOp.from_poly(k - 1) - eu) * lower)
             op = (
-                -((WeylOp.from_poly(k - 1) - eu) * lower)
+                lead
                 + 2 * ring.nu(2) * (WeylOp.from_poly(k) - eu)
                 - 2 * ring.nu(1) * lower
                 + self._nu_pair_constant(1, 2)
             )
         elif lo == 1:
             front = ring.one() - self.u_range(1, hi - 2)
-            step = self.partial_or_zero(hi - 2) - self.partial_or_zero(hi - 1)
+            step = self.step(hi)
+            lead = -(front**2 * ((WeylOp.from_poly(k - 1) - eu) * step))
             op = (
-                -(front**2 * ((WeylOp.from_poly(k - 1) - eu) * step))
+                lead
                 + 2 * ring.nu(hi) * (front * (WeylOp.from_poly(k) - eu))
                 - 2 * ring.nu(1) * (front * step)
                 + self._nu_pair_constant(1, hi)
             )
         elif lo == 2:
             front = self.u_range(1, hi - 2)
-            step = self.partial_or_zero(hi - 2) - self.partial_or_zero(hi - 1)
+            step = self.step(hi)
             lower = WeylOp.from_poly(1 - k) - self.partial_or_zero(1) + eu
+            lead = -(front**2 * (lower * step))
             op = (
-                -(front**2 * (lower * step))
+                lead
                 + 2 * ring.nu(hi) * (front * (WeylOp.from_poly(k) + self.partial_or_zero(1) - eu))
                 + 2 * ring.nu(2) * (front * step)
                 + self._nu_pair_constant(2, hi)
             )
         else:
             front = self.u_range(lo - 1, hi - 2)
-            step_hi = self.partial_or_zero(hi - 2) - self.partial_or_zero(hi - 1)
-            step_lo = self.partial_or_zero(lo - 2) - self.partial_or_zero(lo - 1)
+            step_hi, step_lo = self.step(hi), self.step(lo)
+            lead = -(front**2 * (step_hi * step_lo))
             op = (
-                -(front**2 * (step_hi * step_lo))
+                lead
                 + 2 * ring.nu(lo) * (front * step_hi)
                 - 2 * ring.nu(hi) * (front * step_lo)
                 + self._nu_pair_constant(lo, hi)
             )
-        self._pairs[(lo, hi)] = op
+        self._pairs[(lo, hi)] = (lead, op)
         return op
+
+    def c_pair_lead(self, i: int, j: int) -> WeylOp:
+        """The quadratic leading term of c_pair(i, j): the product that the
+        embedding's rewrite steps normal-order into L blocks."""
+        self.c_pair(i, j)
+        return self._pairs[tuple(sorted((i, j)))][0]
 
     def subset_key(self, A: Iterable[int]) -> tuple[int, ...]:
         a = tuple(sorted(set(A)))
@@ -149,7 +166,6 @@ def check_racah_structure(ctx: RacahContext) -> Report:
     """Subset Casimirs commute whenever the subsets are disjoint or nested."""
     report = Report("racah", {"n": ctx.n, "k_mode": "symbolic"})
     subsets = nonempty_subsets(ctx.n)
-    ops = {A: ctx.c_set(A) for A in subsets}
     zero = WeylOp.zero(ctx.ring)
     for pos, A in enumerate(subsets):
         set_a = set(A)
@@ -165,7 +181,7 @@ def check_racah_structure(ctx: RacahContext) -> Report:
                 timed_check(
                     f"{kind}:{set_a}|{set_b}",
                     f"{kind} subset Casimirs commute",
-                    lambda a=ops[A], b=ops[B]: (a.commutator(b), zero),
+                    lambda: (ctx.c_set(A).commutator(ctx.c_set(B)), zero),
                 )
             )
     return report

@@ -74,6 +74,9 @@ class Report:
 def timed_check(check_id: str, description: str, build) -> Check:
     """Run build() -> (lhs, rhs), compare, and record the elapsed time.
 
+    build() runs before this returns, so a builder may close over loop
+    variables without binding them as default arguments.
+
     An exception in build() or in the comparison fails this check alone,
     with the error text as its lhs, so the rest of the suite still runs.
     """

@@ -241,9 +241,6 @@ class DmContext:
             raise ValueError(f"subset {b} not contained in 1..{self.m - 1}")
         return b
 
-    def u_sum(self, B: Iterable[int]) -> Poly:
-        return self.ring.u_sum(self._check_subset(B))
-
     def u_set_euler(self, B: Iterable[int]) -> WeylOp:
         """u_B times the Euler operator, evaluated from `u_euler_tree`."""
         return evaluate(u_euler_tree(self, B), self)
@@ -377,10 +374,7 @@ def check_sl_homomorphism(ctx: DmContext) -> Report:
                 timed_check(
                     f"[{x.label()},{y.label()}]",
                     "commutator of images matches image of bracket",
-                    lambda sx=sx, sy=sy, x=x, y=y: (
-                        sx.commutator(sy),
-                        ctx.sigma(x.bracket(y)),
-                    ),
+                    lambda: (sx.commutator(sy), ctx.sigma(x.bracket(y))),
                 )
             )
     return report
@@ -398,34 +392,25 @@ def check_lemma1(ctx: DmContext) -> Report:
         for alpha in range(1, ctx.m):
             d_alpha = WeylOp.partial(ring, alpha)
             delta = 1 if alpha in B else 0
-
-            def build(ub_euler=ub_euler, d_alpha=d_alpha, u_b=u_b, delta=delta):
-                lhs = ub_euler.commutator(d_alpha)
-                rhs = -(u_b * d_alpha) - delta * euler
-                return lhs, rhs
-
             report.add(
                 timed_check(
                     f"[uE{set(B)},d{alpha}]",
                     "raising commutator reduces to -u_B d_alpha - delta Euler",
-                    build,
+                    lambda: (ub_euler.commutator(d_alpha), -(u_b * d_alpha) - delta * euler),
                 )
             )
     for A in subsets:
         u_a = WeylOp.from_poly(ring.u_sum(A))
         for alpha in range(1, ctx.m):
             delta = 1 if alpha in A else 0
-
-            def build(u_a=u_a, alpha=alpha, delta=delta):
-                lhs = u_a.commutator(WeylOp.partial(ring, alpha))
-                rhs = WeylOp.scalar(ring, -delta)
-                return lhs, rhs
-
             report.add(
                 timed_check(
                     f"[u{set(A)},d{alpha}]",
                     "multiplication operator commutator is -delta",
-                    build,
+                    lambda: (
+                        u_a.commutator(WeylOp.partial(ring, alpha)),
+                        WeylOp.scalar(ring, -delta),
+                    ),
                 )
             )
     return report
@@ -449,7 +434,7 @@ def check_generator_membership(ctx: DmContext) -> Report:
             timed_check(
                 f"uE{set(B)}",
                 "generator sum equals u_B composed with Euler",
-                lambda B=B, u_b=u_b: (ctx.u_set_euler(B), u_b * euler),
+                lambda: (ctx.u_set_euler(B), u_b * euler),
             )
         )
         for alpha in range(1, ctx.m):
@@ -457,7 +442,7 @@ def check_generator_membership(ctx: DmContext) -> Report:
                 timed_check(
                     f"uD{set(B)},d{alpha}",
                     "generator assembly equals u_B composed with d_alpha",
-                    lambda B=B, u_b=u_b, alpha=alpha: (
+                    lambda: (
                         ctx.u_set_partial(B, alpha),
                         u_b * WeylOp.partial(ring, alpha),
                     ),

@@ -213,15 +213,20 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
 
 
 def test_report_golden_digest(capsys):
-    # the full n = 4 report, timings dropped, pinned to its recorded digest
-    assert run_cli(["verify", "--suite", "all", "--n", "4", "--format", "json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert len(data["checks"]) == 197
-    for check in data["checks"]:
-        del check["ms"]
-    text = json.dumps(data, sort_keys=True)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digest == "4e7b50ca6d78922ed3d3a56e40484955d2903830d59968a710279301bcacb55c"
+    # full reports, timings dropped, pinned to their recorded digests
+    golden = [
+        ("all", "4", 197, "4e7b50ca6d78922ed3d3a56e40484955d2903830d59968a710279301bcacb55c"),
+        ("embedding", "6", 52, "761369db42c070cdac42b22ddd68c2c763a9c1e1970b111b6ceefd0c4f97683f"),
+    ]
+    for suite, n, count, expected in golden:
+        assert run_cli(["verify", "--suite", suite, "--n", n, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert len(data["checks"]) == count
+        for check in data["checks"]:
+            del check["ms"]
+        text = json.dumps(data, sort_keys=True)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == expected
 
 
 def test_raising_check_fails_alone():
@@ -302,3 +307,10 @@ def test_matrix_nu_grammar(capsys):
         assert run_cli(base + [nu]) == 2
         assert "could not parse rationals" in capsys.readouterr().err
     assert run_cli(base + ["-1/2, 3 ,7/4"]) == 0
+
+
+def test_out_unwritable(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_run_suite", refuse)
+    for target in (tmp_path / "missing" / "r.json", tmp_path):
+        assert run_cli(["verify", "--suite", "sln", "--n", "3", "--out", str(target)]) == 2
+        assert f"error: cannot write report to {target}: " in capsys.readouterr().err

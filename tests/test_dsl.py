@@ -13,6 +13,7 @@ from weylracah import (
     elaborate,
     parse,
     print_canonical,
+    run_cli,
 )
 
 
@@ -174,3 +175,26 @@ def test_exponent_limit(rc):
             parse(text, rc)
         assert info.value.position == text.index("^") + 1
         assert "limit 64" in str(info.value)
+
+
+def test_nesting_limit(rc, capsys):
+    # parsed only: 64 levels of '(' or unary '-' parse, one more is refused
+    def nested(depth):
+        opens = "".join("(-"[i % 2] for i in range(depth))
+        return [
+            "(" * depth + "u1" + ")" * depth,
+            "-" * depth + "u1",
+            opens + "u1" + ")" * opens.count("("),
+        ]
+
+    for text in nested(64):
+        parse(text, rc)
+    parse("-" * 64 + "u1 - " + "-" * 64 + "u1", rc)
+    for depth in (65, 1000):
+        for text in nested(depth):
+            with pytest.raises(ParseError) as info:
+                parse(text, rc)
+            assert info.value.position == 64
+            assert "limit 64" in str(info.value)
+    assert run_cli(["normalize", "--n", "3", "--expr", nested(1000)[0]]) == 2
+    assert "limit 64" in capsys.readouterr().err

@@ -195,3 +195,34 @@ def test_op_is_evaluated_from_the_tree(rc4):
     assert expr.op == eval_tree(rc4, expr.tree) == rc4.c_pair(2, 4)
     with pytest.raises(TypeError):
         EmbeddedExpr(rc4, SumNode((GenT(3, 1), "junk"))).op
+
+
+def test_failing_block_build_fails_only_its_checks(monkeypatch):
+    # the L5/L6 blocks of (3,5) cannot be built: only the checks using them fail
+    import weylracah.embed as embed_mod
+
+    original = embed_mod.l_op_pair
+
+    def broken(ctx, tag, i, j):
+        if (i, j) == (5, 3):
+            raise RuntimeError("no L block")
+        return original(ctx, tag, i, j)
+
+    monkeypatch.setattr(embed_mod, "l_op_pair", broken)
+    report = verify_embedding(RacahContext(5))
+    assert len(report.checks) == 35
+    failed = [c for c in report.checks if not c.equal]
+    assert [c.id for c in failed] == ["rw3(3,5)", "prov(3,5)", "C(3,5)"]
+    assert all(c.lhs == "RuntimeError: no L block" for c in failed)
+
+
+def test_rewrite_steps_start_from_c_pair():
+    # c_pair caches (leading term, operator) per pair, the one place both
+    # are read from; perturbing the (1,3) entry reaches rw1a(3) and C(1,3)
+    rc = RacahContext(4)
+    lead, op = rc.c_pair_lead(1, 3), rc.c_pair(3, 1)
+    bump = rc.ring.nu(1) * WeylOp.partial(rc.ring, 1)
+    rc._pairs[(1, 3)] = (lead + bump, op + bump)
+    assert rc.c_pair_lead(3, 1) == lead + bump
+    report = verify_embedding(rc)
+    assert [c.id for c in report.checks if not c.equal] == ["rw1a(3)", "C(1,3)"]

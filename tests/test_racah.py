@@ -139,6 +139,22 @@ def test_structure_suite_small():
         assert report.failed == 0, report.to_text()
 
 
+def test_failing_casimir_build_fails_only_its_checks(monkeypatch):
+    original = RacahContext.c_set
+
+    def broken(self, A):
+        if self.subset_key(A) == (2, 4):
+            raise RuntimeError("no Casimir")
+        return original(self, A)
+
+    monkeypatch.setattr(RacahContext, "c_set", broken)
+    report = check_racah_structure(RacahContext(4))
+    assert len(report.checks) == 90
+    failed = [c.id for c in report.checks if not c.equal]
+    assert failed == [c.id for c in report.checks if "{2, 4}" in c.id]
+    assert len(failed) == 9
+
+
 def test_disjoint_commutator_example():
     rc = RacahContext(4)
     assert rc.c_pair(1, 2).commutator(rc.c_pair(3, 4)) == WeylOp.zero(rc.ring)
