@@ -3,19 +3,23 @@
     expr   := term (('+' | '-') term)*
     term   := factor ('*'? factor)*
     factor := atom ['^' uint]
-    atom   := rational | symbol | genref | '(' expr ')' | '-' factor
+    atom   := rational | name | name '[' list ']' | name '[' '{' list '}' ']'
+            | '(' expr ')' | '-' factor
+    list   := uint (',' uint)*
 
 Juxtaposition multiplies, so formulas transcribe naturally:
-"d1 u1 - u1 d1" normalizes to 1. Symbols are u<i>, d<i>, E, k, nu<i>;
-generator references are T[i,j], Td[d], C[i], C[i,j], C[{i,...}],
-L1[j]..L4[j], L5[i,j], L6[i,j]. All indices are validated against the
-active context (n factors, n-2 variables, ambient rank n-1).
+"d1 u1 - u1 d1" normalizes to 1. Each named atom, a symbol such as u3 or
+a generator reference such as C[1,3], is one entry of ATOMS: the parser
+checks a name against its entry and `elaborate` calls its constructor.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import reduce
+from typing import Callable, NamedTuple
 
 from .embed import l_op, l_op_pair
 from .poly import Rat
@@ -36,6 +40,37 @@ class ParseError(ValueError):
         self.position = position
 
 
+class Atom(NamedTuple):
+    """What the grammar knows about one named atom."""
+
+    bracketed: bool  # written name[i,...]; otherwise its index is part of its name (u3)
+    counts: tuple | None  # the index counts it takes; None for any positive count
+    offset: int  # its largest index is n - offset
+    build: Callable  # build(ctx, *indices) -> WeylOp
+
+
+# "C{}" is C[{i,...}], the Casimir of a factor subset.
+ATOMS = {
+    "E": Atom(False, (0,), 0, lambda ctx: ctx.dm.euler_op()),
+    "k": Atom(False, (0,), 0, lambda ctx: WeylOp.from_poly(ctx.ring.k())),
+    "u": Atom(False, (1,), 2, lambda ctx, i: WeylOp.from_poly(ctx.ring.u(i))),
+    "d": Atom(False, (1,), 2, lambda ctx, i: WeylOp.partial(ctx.ring, i)),
+    "nu": Atom(False, (1,), 0, lambda ctx, i: WeylOp.from_poly(ctx.ring.nu(i))),
+    "T": Atom(True, (2,), 1, lambda ctx, i, j: ctx.dm.t_op(i, j)),
+    "Td": Atom(True, (1,), 2, lambda ctx, d: ctx.dm.ttilde_op(d)),
+    "C": Atom(
+        True, (1, 2), 0, lambda ctx, *ij: ctx.c_pair(*ij) if len(ij) == 2 else ctx.c_single(*ij)
+    ),
+    "C{}": Atom(True, None, 0, lambda ctx, *a: ctx.c_set(a)),
+    "L1": Atom(True, (1,), 0, lambda ctx, j: l_op(ctx, "L1", j).op),
+    "L2": Atom(True, (1,), 0, lambda ctx, j: l_op(ctx, "L2", j).op),
+    "L3": Atom(True, (1,), 0, lambda ctx, j: l_op(ctx, "L3", j).op),
+    "L4": Atom(True, (1,), 0, lambda ctx, j: l_op(ctx, "L4", j).op),
+    "L5": Atom(True, (2,), 0, lambda ctx, i, j: l_op_pair(ctx, "L5", i, j).op),
+    "L6": Atom(True, (2,), 0, lambda ctx, i, j: l_op_pair(ctx, "L6", i, j).op),
+}
+
+
 # -- AST ----------------------------------------------------------------------
 
 
@@ -45,13 +80,8 @@ class Num:
 
 
 @dataclass(frozen=True)
-class Sym:
-    name: str
-
-
-@dataclass(frozen=True)
-class Gen:
-    kind: str
+class Ref:
+    name: str  # the named atom's key in ATOMS
     args: tuple
 
 
@@ -79,33 +109,26 @@ class Prod:
 # -- tokenizer ------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<punct>[][{}(),+\-*^]))"
+    r"(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<punct>[][{}(),+\-*^])"
+    r"|(?P<error>\S)"
 )
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            where = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", where)
-        if match.lastgroup == "number":
-            tokens.append(("number", match.group("number"), match.start("number")))
-        elif match.lastgroup == "name":
-            tokens.append(("name", match.group("name"), match.start("name")))
-        else:
-            tokens.append(("punct", match.group("punct"), match.start("punct")))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(text):
+        if match.lastgroup == "error":
+            raise ParseError(f"unexpected character {match.group()!r}", match.start())
+        tokens.append((match.lastgroup, match.group(), match.start()))
     return tokens
 
 
-_SYMBOL_RE = re.compile(r"^(u|d|nu)(\d+)$")
-_GEN_KINDS = {"T": 2, "Td": 1, "L1": 1, "L2": 1, "L3": 1, "L4": 1, "L5": 2, "L6": 2}
+def _int(digits: str, where: int) -> int:
+    """A digit string as an int; one past CPython's int-string limit is a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"number of {len(digits)} digits is too long", where) from None
 
 
 class _Parser:
@@ -126,11 +149,16 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def _accept(self, value: str) -> bool:
+        """Consume the next token if it is the punctuation `value`."""
+        found = self.pos < len(self.tokens) and self.tokens[self.pos][1] == value
+        self.pos += found
+        return found
+
     def _expect(self, value: str):
         tok = self._next()
         if tok[0] != "punct" or tok[1] != value:
             raise ParseError(f"expected {value!r}, found {tok[1]!r}", tok[2])
-        return tok
 
     def parse(self):
         if not self.tokens:
@@ -144,52 +172,45 @@ class _Parser:
     def expr(self):
         parts = [self.term()]
         while True:
-            tok = self._peek()
-            if tok is None or tok[0] != "punct" or tok[1] not in "+-":
-                break
-            self._next()
-            nxt = self.term()
-            parts.append(Neg(nxt) if tok[1] == "-" else nxt)
-        return parts[0] if len(parts) == 1 else Sum(tuple(parts))
+            if self._accept("+"):
+                parts.append(self.term())
+            elif self._accept("-"):
+                parts.append(Neg(self.term()))
+            else:
+                return parts[0] if len(parts) == 1 else Sum(tuple(parts))
 
     def term(self):
         parts = [self.factor()]
         while True:
             tok = self._peek()
-            if tok is None:
-                break
-            if tok[0] == "punct" and tok[1] == "*":
-                self._next()
-                parts.append(self.factor())
-            elif tok[0] in ("number", "name") or (tok[0] == "punct" and tok[1] == "("):
+            if self._accept("*") or tok is not None and (tok[0] != "punct" or tok[1] == "("):
                 parts.append(self.factor())
             else:
-                break
-        return parts[0] if len(parts) == 1 else Prod(tuple(parts))
+                return parts[0] if len(parts) == 1 else Prod(tuple(parts))
 
     def factor(self):
         base = self.atom()
-        tok = self._peek()
-        if tok is not None and tok[0] == "punct" and tok[1] == "^":
-            self._next()
-            etok = self._next()
-            if etok[0] != "number" or "/" in etok[1]:
-                raise ParseError("exponent must be a non-negative integer", etok[2])
-            exponent = etok[1].lstrip("0") or "0"
-            if len(exponent) > 2 or int(exponent) > MAX_EXPONENT:
-                raise ParseError(f"exponent {etok[1]} exceeds the limit {MAX_EXPONENT}", etok[2])
-            return Pow(base, int(exponent))
-        return base
+        if not self._accept("^"):
+            return base
+        kind, digits, where = self._next()
+        if kind != "number" or "/" in digits:
+            raise ParseError("exponent must be a non-negative integer", where)
+        exponent = digits.lstrip("0") or "0"
+        if len(exponent) > 2 or int(exponent) > MAX_EXPONENT:
+            raise ParseError(f"exponent {digits} exceeds the limit {MAX_EXPONENT}", where)
+        return Pow(base, int(exponent))
 
     def atom(self):
-        tok = self._next()
-        kind, value, where = tok
+        kind, value, where = self._next()
         if kind == "number":
-            try:
-                return Num(Rat(value))
-            except ZeroDivisionError:
-                raise ParseError("rational literal with zero denominator", where) from None
-        if kind == "punct" and value in ("(", "-"):
+            num, _, den = value.partition("/")
+            den = _int(den or "1", where)
+            if not den:
+                raise ParseError("rational literal with zero denominator", where)
+            return Num(Rat(_int(num, where), den))
+        if kind == "name":
+            return self.ref(value, where)
+        if value in ("(", "-"):
             if self.depth == MAX_DEPTH:
                 raise ParseError(f"nesting deeper than the limit {MAX_DEPTH}", where)
             self.depth += 1
@@ -200,86 +221,46 @@ class _Parser:
                 node = Neg(self.factor())
             self.depth -= 1
             return node
-        if kind == "name":
-            follow = self._peek()
-            if follow is not None and follow[0] == "punct" and follow[1] == "[":
-                return self.genref(value, where)
-            return self.symbol(value, where)
         raise ParseError(f"unexpected {value!r}", where)
 
-    def _uint(self) -> int:
-        tok = self._next()
-        if tok[0] != "number" or "/" in tok[1]:
-            raise ParseError("expected an integer index", tok[2])
-        return int(tok[1])
+    def _list(self, close: str) -> list:
+        """Comma-separated indices up to and including `close`."""
+        indices = []
+        while True:
+            kind, digits, where = self._next()
+            if kind != "number" or "/" in digits:
+                raise ParseError("expected an integer index", where)
+            indices.append(_int(digits, where))
+            _, punct, where = self._next()
+            if punct == close:
+                return indices
+            if punct != ",":
+                raise ParseError(f"expected ',' or {close!r}, found {punct!r}", where)
 
-    def symbol(self, name: str, where: int):
-        n = self.ctx.n
-        if name == "E" or name == "k":
-            return Sym(name)
-        match = _SYMBOL_RE.match(name)
-        if match is None:
-            raise ParseError(f"unknown symbol {name!r}", where)
-        head, idx = match.group(1), int(match.group(2))
-        if head in ("u", "d"):
-            if not 1 <= idx <= n - 2:
-                raise ParseError(
-                    f"{name!r} out of range: context has variables u1..u{n - 2}", where
-                )
-        else:
-            if not 1 <= idx <= n:
-                raise ParseError(f"{name!r} out of range: parameters nu1..nu{n}", where)
-        return Sym(name)
-
-    def genref(self, name: str, where: int):
-        n = self.ctx.n
-        self._expect("[")
-        if name == "C":
-            tok = self._peek()
-            if tok is not None and tok[0] == "punct" and tok[1] == "{":
-                self._next()
-                indices = [self._uint()]
-                while True:
-                    tok = self._next()
-                    if tok[0] == "punct" and tok[1] == "}":
-                        break
-                    if tok[0] != "punct" or tok[1] != ",":
-                        raise ParseError("expected ',' or '}' in subset", tok[2])
-                    indices.append(self._uint())
+    def ref(self, name: str, where: int) -> Ref:
+        """A named atom, checked against its ATOMS entry."""
+        bracketed = self._accept("[")
+        subset = bracketed and self._accept("{")
+        key = name + "{}" if subset else name if bracketed else name.rstrip("0123456789")
+        atom = ATOMS.get(key)
+        if atom is None or atom.bracketed != bracketed:
+            raise ParseError(f"unknown {'generator' if bracketed else 'symbol'} {name!r}", where)
+        if bracketed:
+            args = self._list("}" if subset else "]")
+            if subset:
                 self._expect("]")
-                bad = [i for i in indices if not 1 <= i <= n]
-                if bad:
-                    raise ParseError(f"subset index {bad[0]} out of range 1..{n}", where)
-                return Gen("Cset", tuple(sorted(set(indices))))
-            indices = [self._uint()]
-            tok = self._next()
-            if tok[0] == "punct" and tok[1] == ",":
-                indices.append(self._uint())
-                self._expect("]")
-            elif not (tok[0] == "punct" and tok[1] == "]"):
-                raise ParseError("expected ',' or ']'", tok[2])
-            bad = [i for i in indices if not 1 <= i <= n]
-            if bad:
-                raise ParseError(f"index {bad[0]} out of range 1..{n}", where)
-            return Gen("C", tuple(indices))
-        arity = _GEN_KINDS.get(name)
-        if arity is None:
-            raise ParseError(f"unknown generator {name!r}", where)
-        indices = [self._uint()]
-        if arity == 2:
-            self._expect(",")
-            indices.append(self._uint())
-        self._expect("]")
-        if name == "T":
-            limit = n - 1
-        elif name == "Td":
-            limit = n - 2
         else:
-            limit = n
-        bad = [i for i in indices if not 1 <= i <= limit]
-        if bad:
-            raise ParseError(f"index {bad[0]} out of range 1..{limit} for {name}", where)
-        return Gen(name, tuple(indices))
+            args = [_int(name[len(key):], where)] if key != name else []
+            name = key
+        if atom.counts is not None and len(args) not in atom.counts:
+            want = " or ".join(map(str, atom.counts))
+            noun = "index" if want == "1" else "indices"
+            raise ParseError(f"{name} takes {want} {noun}, found {len(args)}", where)
+        limit = self.ctx.n - atom.offset
+        for i in args:
+            if not 1 <= i <= limit:
+                raise ParseError(f"{name} index {i} out of range 1..{limit}", where)
+        return Ref(key, tuple(args))
 
 
 def parse(text: str, ctx: RacahContext):
@@ -289,49 +270,16 @@ def parse(text: str, ctx: RacahContext):
 
 def elaborate(ast, ctx: RacahContext) -> WeylOp:
     """Evaluate an AST to a normal-form operator via the module constructors."""
-    ring = ctx.ring
     if isinstance(ast, Num):
-        return WeylOp.scalar(ring, ast.value)
-    if isinstance(ast, Sym):
-        name = ast.name
-        if name == "E":
-            return ctx.dm.euler_op()
-        if name == "k":
-            return WeylOp.from_poly(ring.k())
-        head, idx = _SYMBOL_RE.match(name).groups()
-        idx = int(idx)
-        if head == "u":
-            return WeylOp.from_poly(ring.u(idx))
-        if head == "d":
-            return WeylOp.partial(ring, idx)
-        return WeylOp.from_poly(ring.nu(idx))
-    if isinstance(ast, Gen):
-        kind, args = ast.kind, ast.args
-        if kind == "T":
-            return ctx.dm.t_op(*args)
-        if kind == "Td":
-            return ctx.dm.ttilde_op(args[0])
-        if kind == "C":
-            if len(args) == 1:
-                return ctx.c_single(args[0])
-            return ctx.c_pair(*args)
-        if kind == "Cset":
-            return ctx.c_set(args)
-        if kind in ("L5", "L6"):
-            return l_op_pair(ctx, kind, args[0], args[1]).op
-        return l_op(ctx, kind, args[0]).op
+        return WeylOp.scalar(ctx.ring, ast.value)
+    if isinstance(ast, Ref):
+        return ATOMS[ast.name].build(ctx, *ast.args)
     if isinstance(ast, Neg):
         return -elaborate(ast.arg, ctx)
     if isinstance(ast, Pow):
         return elaborate(ast.base, ctx) ** ast.exponent
     if isinstance(ast, Sum):
-        out = WeylOp.zero(ring)
-        for part in ast.parts:
-            out = out + elaborate(part, ctx)
-        return out
+        return reduce(operator.add, [elaborate(part, ctx) for part in ast.parts])
     if isinstance(ast, Prod):
-        out = WeylOp.identity(ring)
-        for part in ast.parts:
-            out = out * elaborate(part, ctx)
-        return out
+        return reduce(operator.mul, [elaborate(part, ctx) for part in ast.parts])
     raise TypeError(f"not an AST node: {ast!r}")

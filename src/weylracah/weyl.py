@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Mapping
 
 from .poly import SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum
@@ -20,13 +20,14 @@ __all__ = ["WeylOp", "commutator"]
 
 
 @lru_cache(maxsize=4096)
-def _lower_exponents(alpha: tuple) -> tuple:
-    """All gamma with 0 <= gamma <= alpha componentwise, with binomial weights.
+def _lower_exponents(alpha: tuple, top: tuple) -> tuple:
+    """All gamma with 0 <= gamma <= min(alpha, top) componentwise, with binomial weights.
 
     Yields pairs (gamma, prod_i C(alpha_i, gamma_i)); the weights are the
     coefficients of d^alpha p = sum_gamma C(alpha, gamma) (d^gamma p) d^(alpha-gamma).
+    top is p's degree in each variable: a larger gamma_i differentiates p to zero.
     """
-    ranges = [range(a + 1) for a in alpha]
+    ranges = [range(min(a, t) + 1) for a, t in zip(alpha, top)]
     out = []
     for gamma in product(*ranges):
         weight = 1
@@ -118,8 +119,10 @@ class WeylOp(SparseSum):
         out: dict[tuple, Poly] = {}
         deriv_cache: dict[tuple, Poly] = {}
         b_items = list(other.terms.items())
+        monomials = [m for q in other.terms.values() for m in q.terms]
+        top = tuple(map(max, islice(zip(*monomials), self.ring.num_vars)))
         for alpha, p in self.terms.items():
-            expansions = _lower_exponents(alpha)
+            expansions = _lower_exponents(alpha, top)
             for beta, q in b_items:
                 for gamma, weight in expansions:
                     if any(gamma):

@@ -1,5 +1,6 @@
 """Expression grammar, elaboration, and the canonical printer."""
 
+import hashlib
 import random
 
 import pytest
@@ -130,6 +131,49 @@ def test_index_bounds(rc):
         parse("C[5]", rc)
     with pytest.raises(ParseError, match="out of range"):
         parse("C[{1,5}]", rc)
+    # each atom's largest index at n=4 parses, one past it does not
+    for text in ("u2", "d2", "nu4", "T[3,1]", "Td[2]", "C[4]", "C[{1,4}]", "L1[4]", "L5[4,3]"):
+        parse(text, rc)
+    for text in ("Td[3]", "L1[5]", "L5[5,3]"):
+        with pytest.raises(ParseError, match="out of range") as info:
+            parse(text, rc)
+        assert 0 <= info.value.position < len(text)
+    counts = (
+        ("T[1]", "2 indices"), ("Td[1,2]", "1 index"), ("C[1,2,3]", "1 or 2 indices"),
+        ("L6[4]", "2 indices"), ("u", "1 index"), ("E1", "0 indices"),
+    )
+    for text, wanted in counts:
+        with pytest.raises(ParseError, match=wanted) as info:
+            parse(text, rc)
+        assert 0 <= info.value.position < len(text)
+    with pytest.raises(ParseError) as info:
+        parse("C[{1,5}]", rc)
+    assert str(info.value).startswith("C ")
+
+
+def test_long_digit_strings(rc):
+    # parsed only: past CPython's int-string limit a digit string is a ParseError
+    ones = "1" * 5000
+    for text, position in ((ones, 0), ("u" + ones, 0), ("T[" + ones + ",1]", 2)):
+        with pytest.raises(ParseError) as info:
+            parse(text, rc)
+        assert info.value.position == position
+
+
+def test_normal_form_golden_digest(capsys):
+    # every atom at its largest index at n=5, then two mixed expressions
+    exprs = [
+        "E", "k", "u3", "d3", "nu5", "T[4,1]", "T[1,4]", "Td[3]", "C[5]", "C[2,5]",
+        "C[{1,3,5}]", "L1[5]", "L2[5]", "L3[5]", "L4[5]", "L5[5,3]", "L6[5,3]",
+        "(u1 + u2 - u3)^3 d2 d3", "-(1/2 nu1 - k) d1^2 u1",
+    ]
+    out = ""
+    for expr in exprs:
+        assert run_cli(["normalize", "--n", "5", "--expr", expr]) == 0
+        out += capsys.readouterr().out
+    assert len(out) == 3166
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "390b67827b5e92b2f03e26d16b4792a044395e1a75947feeaadf151d92cf65d8"
 
 
 def test_constructor_errors_surface(rc):

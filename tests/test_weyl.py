@@ -5,7 +5,16 @@ import random
 import pytest
 
 from helpers import random_poly, random_weyl
-from weylracah import ContextMismatchError, DmContext, Ring, WeylOp
+from weylracah import (
+    ContextMismatchError,
+    DmContext,
+    Poly,
+    RacahContext,
+    Ring,
+    WeylOp,
+    elaborate,
+    parse,
+)
 
 
 @pytest.fixture
@@ -184,3 +193,19 @@ def test_pow(ring):
         for n in range(6):
             assert op**n == expected, (op, n)
             expected = expected * op
+
+
+def test_leibniz_terms_bounded_by_right_degree(monkeypatch):
+    # d^gamma of a coefficient with gamma_i above its degree in u_i is never formed
+    ctx = RacahContext(5)
+    calls = []
+    diff_multi = Poly.diff_multi
+
+    def counted(self, orders):
+        calls.append(orders)
+        return diff_multi(self, orders)
+
+    monkeypatch.setattr(Poly, "diff_multi", counted)
+    got = elaborate(parse("(d1 d2 d3)^64 u1", ctx), ctx)
+    assert len(calls) <= 1
+    assert got == WeylOp(ctx.ring, {(64, 64, 64): ctx.ring.u(1), (63, 64, 64): 64})
