@@ -57,6 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# Built once: a parser is reusable, and it writes usage errors to the
+# sys.stderr current at each parse.
+_PARSER = _build_parser()
+
+
 def _run_suite(name: str, ctx: RacahContext) -> Report:
     merged = Report(name, {"n": ctx.n, "k_mode": "symbolic"})
     if name in ("sln", "all"):
@@ -72,9 +77,8 @@ def _run_suite(name: str, ctx: RacahContext) -> Report:
 
 
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 

@@ -5,6 +5,11 @@ differentiable ones) and formal parameters k, nu1..nun (constants under
 differentiation). A polynomial is a finite map from exponent vectors to
 nonzero rational coefficients, so structural equality is polynomial
 equality.
+
+A coefficient enters as an `int` when it is integral and as a `Fraction`
+only otherwise. Mixed int/Fraction arithmetic is exact and an integral
+Fraction equals and hashes like its int, so the two kinds never need to be
+told apart; integer work simply stays on the fast int path.
 """
 
 from __future__ import annotations
@@ -24,10 +29,14 @@ class ContextMismatchError(ValueError):
     """Operands belong to different ambient rings."""
 
 
-def _as_rat(value) -> Rat:
+def _as_rat(value) -> int | Rat:
+    """An exact coefficient: an int when the value is integral, else a Fraction."""
+    if type(value) is int:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass int, Fraction, or a 'p/q' string")
-    return Rat(value)
+    c = Rat(value)
+    return c.numerator if c.denominator == 1 else c
 
 
 class Ring:
@@ -89,7 +98,7 @@ class Ring:
     def symbol(self, name: str) -> Poly:
         exps = [0] * self.num_symbols
         exps[self.index_of(name)] = 1
-        return Poly(self, {tuple(exps): Rat(1)})
+        return Poly(self, {tuple(exps): 1})
 
     def u(self, i: int) -> Poly:
         if not 1 <= i <= self.num_vars:
@@ -196,7 +205,7 @@ class Poly(SparseSum):
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: Ring, terms: Mapping[tuple, Rat], *, _trusted=False):
+    def __init__(self, ring: Ring, terms: Mapping[tuple, int | Rat], *, _trusted=False):
         self.ring = ring
         if _trusted:
             self.terms = terms
@@ -339,10 +348,10 @@ class Poly(SparseSum):
     def is_constant(self) -> bool:
         return all(not any(m) for m in self.terms)
 
-    def constant_value(self) -> Rat:
+    def constant_value(self) -> int | Rat:
         """Rational value of a constant polynomial."""
         if not self.terms:
-            return Rat(0)
+            return 0
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))

@@ -38,7 +38,7 @@ class PiBasis:
         return len(self.monomials)
 
     def monomial_poly(self, position: int) -> Poly:
-        return Poly(self.ring, {self.monomials[position]: Rat(1)}, _trusted=True)
+        return Poly(self.ring, {self.monomials[position]: 1}, _trusted=True)
 
 
 def basis(ring: Ring, degree: int) -> PiBasis:
@@ -79,11 +79,11 @@ class OpMatrix:
 
     @staticmethod
     def zero(size: int) -> "OpMatrix":
-        return OpMatrix([[Rat(0)] * size for _ in range(size)])
+        return OpMatrix([[0] * size for _ in range(size)])
 
     @staticmethod
     def identity(size: int) -> "OpMatrix":
-        return OpMatrix.scalar(size, Rat(1))
+        return OpMatrix.scalar(size, 1)
 
     @staticmethod
     def scalar(size: int, value) -> "OpMatrix":
@@ -127,7 +127,7 @@ class OpMatrix:
         if self.size != other.size:
             raise ValueError("matrix size mismatch")
         n = self.size
-        out = [[Rat(0)] * n for _ in range(n)]
+        out = [[0] * n for _ in range(n)]
         brows = other.rows
         for i in range(n):
             arow = self.rows[i]
@@ -186,7 +186,7 @@ def to_matrix(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> OpMa
     nv = op.ring.num_vars
     for col in range(size):
         image = numeric.apply(pi.monomial_poly(col))
-        vec = [Rat(0)] * size
+        vec = [0] * size
         for exps, coeff in image.terms.items():
             pos = pi.index.get(exps)
             if pos is None:

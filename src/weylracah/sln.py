@@ -58,13 +58,13 @@ class SlElement:
     def E(m: int, i: int, j: int) -> "SlElement":
         if i == j or not (1 <= i <= m and 1 <= j <= m):
             raise ValueError(f"E({i},{j}) is not a basis element of sl_{m}")
-        return SlElement(m, {("E", i, j): Rat(1)})
+        return SlElement(m, {("E", i, j): 1})
 
     @staticmethod
     def H(m: int, d: int) -> "SlElement":
         if not 1 <= d <= m - 1:
             raise ValueError(f"H({d}) out of range 1..{m - 1}")
-        return SlElement(m, {("H", d): Rat(1)})
+        return SlElement(m, {("H", d): 1})
 
     @staticmethod
     def basis(m: int) -> list["SlElement"]:
@@ -101,7 +101,7 @@ class SlElement:
         self._check_rank(other)
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            out[key] = out.get(key, Rat(0)) + c
+            out[key] = out.get(key, 0) + c
         return SlElement(self.m, out)
 
     def __neg__(self):

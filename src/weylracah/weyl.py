@@ -108,21 +108,43 @@ class WeylOp(SparseSum):
         return None
 
     def __mul__(self, other):
-        """Normal-ordered composition self after other.
-
-        d^alpha (q d^beta) expands by Leibniz into
-        sum_{gamma <= alpha} C(alpha, gamma) (d^gamma q) d^(alpha - gamma + beta).
-        """
+        """Normal-ordered composition self after other."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         out: dict[tuple, Poly] = {}
+        self._leibniz(other, out, 0)
+        return WeylOp(self.ring, out, _trusted=True)
+
+    def _u_degrees(self) -> tuple:
+        """The largest exponent of each u-variable over all coefficients."""
+        monomials = [m for q in self.terms.values() for m in q.terms]
+        return tuple(map(max, islice(zip(*monomials), self.ring.num_vars)))
+
+    def product_work(self, other: "WeylOp") -> int:
+        """Coefficient term pairs that self*other can form: each term of self
+        meets each term of other once per gamma of its Leibniz expansion."""
+        top = other._u_degrees()
+        size = sum(len(q.terms) for q in other.terms.values())
+        return size * sum(
+            len(p.terms) * math.prod(min(a, t) + 1 for a, t in zip(alpha, top))
+            for alpha, p in self.terms.items()
+        )
+
+    def _leibniz(self, other: "WeylOp", out: dict, start: int) -> None:
+        """Add the Leibniz terms of self after other into `out`.
+
+        d^alpha (q d^beta) expands into
+        sum_{gamma <= alpha} C(alpha, gamma) (d^gamma q) d^(alpha - gamma + beta).
+        gamma = 0 comes first in each expansion; start=1 leaves it out.
+        """
         deriv_cache: dict[tuple, Poly] = {}
         b_items = list(other.terms.items())
-        monomials = [m for q in other.terms.values() for m in q.terms]
-        top = tuple(map(max, islice(zip(*monomials), self.ring.num_vars)))
+        top = other._u_degrees()
         for alpha, p in self.terms.items():
-            expansions = _lower_exponents(alpha, top)
+            expansions = _lower_exponents(alpha, top)[start:]
+            if not expansions:
+                continue
             for beta, q in b_items:
                 for gamma, weight in expansions:
                     if any(gamma):
@@ -148,7 +170,6 @@ class WeylOp(SparseSum):
                             out[exp] = acc
                         else:
                             del out[exp]
-        return WeylOp(self.ring, out, _trusted=True)
 
     def __rmul__(self, other):
         other = self._coerce(other)
@@ -158,8 +179,17 @@ class WeylOp(SparseSum):
 
     # -- actions -----------------------------------------------------------
 
-    def commutator(self, other: "WeylOp") -> "WeylOp":
-        return self * other - other * self
+    def commutator(self, other) -> "WeylOp":
+        """self*other - other*self, composed without the gamma = 0 Leibniz
+        terms: both orders contain p q d^(alpha+beta) for every term pair, and
+        those cancel."""
+        op = self._coerce(other)
+        if op is None:
+            raise TypeError(f"no commutator of WeylOp with {type(other).__name__}")
+        out: dict[tuple, Poly] = {}
+        self._leibniz(op, out, 1)
+        (-op)._leibniz(self, out, 1)
+        return WeylOp(self.ring, out, _trusted=True)
 
     def apply(self, p: Poly) -> Poly:
         """Act on a polynomial: sum_alpha p_alpha * (d^alpha p)."""

@@ -217,6 +217,7 @@ def test_report_golden_digest(capsys):
     golden = [
         ("all", "4", 197, "4e7b50ca6d78922ed3d3a56e40484955d2903830d59968a710279301bcacb55c"),
         ("embedding", "6", 52, "761369db42c070cdac42b22ddd68c2c763a9c1e1970b111b6ceefd0c4f97683f"),
+        ("all", "5", 632, "ddef53f5131bb12251fd6f9a41e365ba5f176dd2b8b2a77a7049c7b3cbb36d3e"),
     ]
     for suite, n, count, expected in golden:
         assert run_cli(["verify", "--suite", suite, "--n", n, "--format", "json"]) == 0
@@ -227,6 +228,19 @@ def test_report_golden_digest(capsys):
         text = json.dumps(data, sort_keys=True)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == expected
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    def rebuilt():
+        raise AssertionError("parser rebuilt per call")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    for _ in range(2):
+        # usage errors go to the sys.stderr of each call
+        assert run_cli(["verify", "--suite", "nope", "--n", "4"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+    assert run_cli(["normalize", "--n", "4", "--expr", "d1 u1"]) == 0
+    assert capsys.readouterr().out == "u1 d1 + 1\n"
 
 
 def test_raising_check_fails_alone():

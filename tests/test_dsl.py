@@ -1,11 +1,14 @@
 """Expression grammar, elaboration, and the canonical printer."""
 
 import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from helpers import random_weyl
+from weylracah import dsl
 from weylracah import (
     ParseError,
     RacahContext,
@@ -177,8 +180,9 @@ def test_normal_form_golden_digest(capsys):
 
 
 def test_constructor_errors_surface(rc):
-    with pytest.raises(ValueError):
-        elaborate(parse("T[2,2]", rc), rc)
+    for text in ("T[2,2]", "T[2,2]^0"):
+        with pytest.raises(ValueError):
+            elaborate(parse(text, rc), rc)
     with pytest.raises(ValueError):
         elaborate(parse("L1[2]", rc), rc)
 
@@ -242,3 +246,62 @@ def test_nesting_limit(rc, capsys):
             assert "limit 64" in str(info.value)
     assert run_cli(["normalize", "--n", "3", "--expr", nested(1000)[0]]) == 2
     assert "limit 64" in capsys.readouterr().err
+
+
+def test_product_work_counts_leibniz_terms():
+    rc5 = RacahContext(5)
+    ring = rc5.ring
+    a = run("d1^2 d2 + u2", rc5)  # alpha (2,1,0) and (0,0,0)
+    b = run("u1^3 u2 + u3 + k", rc5)  # 3 terms, u-degrees (3,1,1)
+    assert b.product_work(a) == 3 * 2
+    assert a.product_work(b) == 3 * (3 * 2 * 1 + 1)
+    p, q = WeylOp.from_poly(ring.u(1) + ring.k()), WeylOp.from_poly(ring.u(2) - 1)
+    assert p.product_work(q) == 2 * 2
+
+
+def test_product_work_limit(monkeypatch, capsys):
+    # the limit is lowered, so no over-limit product is ever attempted
+    rc5 = RacahContext(5)
+    base = "(u1+u2+u3+d1+d2+d3)"
+    # the factors of base^4 cost 54, 258 and 882 term pairs; the fifth 2436
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 882)
+    assert run(base + "^4", rc5) == run(base, rc5) ** 4
+    with pytest.raises(ParseError) as info:
+        run(base + "^5", rc5)
+    assert info.value.position is None
+    assert str(info.value) == "a product of 2436 coefficient term pairs exceeds the limit 882"
+    for text in (base + "^3 " + base + "^2", "(" + base + "^4) " + base, "-" + base + "^6"):
+        with pytest.raises(ParseError, match="exceeds the limit 882"):
+            run(text, rc5)
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 100)
+    assert run_cli(["commute", "--n", "5", "--lhs", "C[1,2]", "--rhs", base + "^3"]) == 2
+    assert "exceeds the limit 100" in capsys.readouterr().err
+    assert run_cli(["normalize", "--n", "5", "--expr", "C[1,2] C[2,3]"]) == 2
+    assert "exceeds the limit 100" in capsys.readouterr().err
+
+
+def test_recorded_requests_stay_under_the_work_limit(monkeypatch, capsys):
+    # every request of the benchmark's query stream and of the README runs
+    # with its recorded output, and no product comes near the limit
+    queries = Path(__file__).resolve().parents[1] / "perfbench" / "queries.json"
+    requests = json.loads(queries.read_text(encoding="utf-8"))
+    readme = [
+        ["normalize", "--n", "4", "--expr", "d1 u1 - u1 d1"],
+        ["commute", "--n", "4", "--lhs", "T[2,1]", "--rhs", "d1"],
+        ["matrix", "--n", "4", "--k", "2", "--nu", "1/2,3/2,5/2,7/2", "--op", "C[1,2]"],
+    ]
+    largest = []
+    product = dsl._product
+
+    def recording(a, b):
+        largest.append(a.product_work(b))
+        return product(a, b)
+
+    monkeypatch.setattr(dsl, "_product", recording)
+    for request in requests:
+        assert run_cli(request["argv"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == request["sha256"]
+    for argv in readme:
+        assert run_cli(argv) == 0
+    assert 0 < max(largest) <= dsl.MAX_PRODUCT_WORK // 1000

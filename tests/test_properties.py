@@ -88,6 +88,12 @@ def test_apply_respects_composition(a, b, p):
     assert (a * b).apply(p) == a.apply(b.apply(p))
 
 
+@settings(max_examples=100, deadline=None)
+@given(weyl_ops, weyl_ops)
+def test_commutator_matches_direct_path(a, b):
+    assert a.commutator(b) == a * b - b * a
+
+
 @settings(max_examples=60, deadline=None)
 @given(weyl_ops, weyl_ops)
 def test_commutator_antisymmetry(a, b):
