@@ -5,7 +5,7 @@ certificates and an exact matrix oracle."""
 __version__ = "0.1.0"
 
 from .poly import ContextMismatchError, Poly, Rat, Ring
-from .weyl import WeylOp, commutator
+from .weyl import WeylOp
 from .report import Check, Report
 from .sln import (
     DmContext,
@@ -37,7 +37,6 @@ __all__ = [
     "Rat",
     "Ring",
     "WeylOp",
-    "commutator",
     "Check",
     "Report",
     "DmContext",

@@ -11,7 +11,7 @@ import contextlib
 import re
 import sys
 
-from .dsl import ParseError, elaborate, parse
+from .dsl import ParseError, bound_work, elaborate, parse
 from .embed import verify_embedding
 from .poly import Rat
 from .printing import print_canonical
@@ -116,6 +116,7 @@ def run_cli(argv=None) -> int:
         if args.command == "commute":
             lhs = elaborate(parse(args.lhs, ctx), ctx)
             rhs = elaborate(parse(args.rhs, ctx), ctx)
+            bound_work("a commutator", lhs.product_work(rhs) + rhs.product_work(lhs))
             print(print_canonical(lhs.commutator(rhs)))
             return 0
 

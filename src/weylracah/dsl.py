@@ -273,14 +273,18 @@ def parse(text: str, ctx: RacahContext):
     return _Parser(text, ctx).parse()
 
 
-def _product(a: WeylOp, b: WeylOp) -> WeylOp:
-    """a*b, refused with a ParseError when it would exceed MAX_PRODUCT_WORK."""
-    work = a.product_work(b)
+def bound_work(what: str, work: int) -> None:
+    """Refuse `what` with a ParseError when its `work` exceeds MAX_PRODUCT_WORK."""
     if work > MAX_PRODUCT_WORK:
         raise ParseError(
-            f"a product of {work} coefficient term pairs exceeds the limit {MAX_PRODUCT_WORK}",
+            f"{what} of {work} coefficient term pairs exceeds the limit {MAX_PRODUCT_WORK}",
             None,
         )
+
+
+def _product(a: WeylOp, b: WeylOp) -> WeylOp:
+    """a*b, refused when it would exceed MAX_PRODUCT_WORK."""
+    bound_work("a product", a.product_work(b))
     return a * b
 
 

@@ -125,24 +125,20 @@ class EmbeddedExpr:
 # -- generator-level building blocks ----------------------------------------
 
 
-def partial_expr(ctx: RacahContext, alpha: int) -> EmbeddedExpr:
-    """d_alpha as the generator -t_op(alpha, m); zero at the convention index."""
+def _partial(ctx: RacahContext, B: Iterable[int], alpha: int) -> EmbeddedExpr:
+    """u_B d_alpha from generators, and d_alpha = -t_op(alpha, m) when B is
+    empty; zero at alpha = m, the one place the index convention applies."""
     m = ctx.dm.m
     if alpha == m:
         return EmbeddedExpr.zero(ctx)
-    return (-1) * EmbeddedExpr(ctx, GenT(alpha, m))
-
-
-def u_partial_expr(ctx: RacahContext, B: Iterable[int], alpha: int) -> EmbeddedExpr:
-    """u_B d_alpha from generators; zero at the convention index."""
-    if alpha == ctx.dm.m:
-        return EmbeddedExpr.zero(ctx)
+    if not B:
+        return (-1) * EmbeddedExpr(ctx, GenT(alpha, m))
     return EmbeddedExpr(ctx, u_partial_tree(ctx.dm, B, alpha))
 
 
-def u_euler_expr(ctx: RacahContext, B: Iterable[int]) -> EmbeddedExpr:
-    """u_B times the Euler operator as a sum of raising generators."""
-    return EmbeddedExpr(ctx, u_euler_tree(ctx.dm, B))
+def _step(ctx: RacahContext, B: Iterable[int], j: int) -> EmbeddedExpr:
+    """u_B (d_{j-2} - d_{j-1}), the step derivative of the factor index j."""
+    return _partial(ctx, B, j - 2) - _partial(ctx, B, j - 1)
 
 
 # -- the six L operators -----------------------------------------------------
@@ -158,14 +154,13 @@ def l_op(ctx: RacahContext, tag: str, j: int) -> EmbeddedExpr:
         raise ValueError(f"index {j} out of range 3..{ctx.n}")
     B = range(1, j - 1)
     if tag == "L1":
-        bare = partial_expr(ctx, j - 2) - partial_expr(ctx, j - 1)
-        return bare - (u_partial_expr(ctx, B, j - 2) - u_partial_expr(ctx, B, j - 1))
+        return _step(ctx, (), j) - _step(ctx, B, j)
     if tag == "L2":
-        return EmbeddedExpr(ctx, GenEuler()) - u_euler_expr(ctx, B)
+        return EmbeddedExpr(ctx, GenEuler()) - EmbeddedExpr(ctx, u_euler_tree(ctx.dm, B))
     if tag == "L3":
-        return u_partial_expr(ctx, B, j - 2) - u_partial_expr(ctx, B, j - 1)
+        return _step(ctx, B, j)
     if tag == "L4":
-        return -u_partial_expr(ctx, B, 1) + u_euler_expr(ctx, B)
+        return -_partial(ctx, B, 1) + EmbeddedExpr(ctx, u_euler_tree(ctx.dm, B))
     raise ValueError(f"unknown tag {tag!r}, expected L1..L4")
 
 
@@ -176,24 +171,32 @@ def l_op_pair(ctx: RacahContext, tag: str, i: int, j: int) -> EmbeddedExpr:
         raise ValueError(f"need 3 <= j < i <= {ctx.n}, got ({i},{j})")
     B = range(j - 1, i - 1)
     if tag == "L5":
-        return u_partial_expr(ctx, B, i - 2) - u_partial_expr(ctx, B, i - 1)
+        return _step(ctx, B, i)
     if tag == "L6":
-        return u_partial_expr(ctx, B, j - 2) - u_partial_expr(ctx, B, j - 1)
+        return _step(ctx, B, j)
     raise ValueError(f"unknown tag {tag!r}, expected L5 or L6")
 
 
 # -- embedded Casimirs -------------------------------------------------------
 
 
+def _lead_blocks(ctx: RacahContext, lo: int, hi: int):
+    """(s, X, Y) with c_pair_lead(lo, hi) = s X Y + Y, for 3 <= hi: the one
+    table of which L blocks, with which sign, lead each pair."""
+    if lo == 1:
+        return 1, l_op(ctx, "L1", hi), l_op(ctx, "L2", hi)
+    if lo == 2:
+        return -1, l_op(ctx, "L3", hi), l_op(ctx, "L4", hi)
+    return -1, l_op_pair(ctx, "L5", hi, lo), l_op_pair(ctx, "L6", hi, lo)
+
+
 def embedded_c_pair(ctx: RacahContext, i: int, j: int) -> EmbeddedExpr:
     """Pair Casimir assembled inside the enveloping algebra.
 
-    Branch by the sorted pair (lo, hi):
-      (1,2):    -(-Euler - 1)(-d_1 + Euler) + 2 nu_2 (-Euler)
-                - 2 nu_1 (-d_1 + Euler) + const
-      (1,hi):   L1 L2 - (2 nu_hi - 1) L2 - 2 nu_1 L1 + const
-      (2,hi):   -L3 L4 - (2 nu_hi - 1) L4 + 2 nu_2 L3 + const
-      (lo,hi):  -L5 L6 - (2 nu_hi - 1) L6 + 2 nu_lo L5 + const
+    For the sorted pair (lo, hi) with hi >= 3 and (s, X, Y) from `_lead_blocks`:
+      s X Y - (2 nu_hi - 1) Y - 2 s nu_lo X + const,
+    and for (1, 2), where nu_1 and nu_2 swap roles:
+      -(-Euler - 1)(-d_1 + Euler) + 2 nu_2 (-Euler) - 2 nu_1 (-d_1 + Euler) + const,
     where const = (nu_lo + nu_hi)(nu_lo + nu_hi - 1).
     """
     if i == j:
@@ -205,24 +208,15 @@ def embedded_c_pair(ctx: RacahContext, i: int, j: int) -> EmbeddedExpr:
     const = EmbeddedExpr.scalar(ctx, (ring.nu(lo) + ring.nu(hi)) * (ring.nu(lo) + ring.nu(hi) - 1))
     if (lo, hi) == (1, 2):
         euler = EmbeddedExpr(ctx, GenEuler())
-        lower = -partial_expr(ctx, 1) + euler
+        lower = -_partial(ctx, (), 1) + euler
         return (
             -((-euler - EmbeddedExpr.scalar(ctx, 1)) * lower)
             + (2 * ring.nu(2)) * (-euler)
             - (2 * ring.nu(1)) * lower
             + const
         )
-    if lo == 1:
-        l1 = l_op(ctx, "L1", hi)
-        l2 = l_op(ctx, "L2", hi)
-        return l1 * l2 - (2 * ring.nu(hi) - 1) * l2 - (2 * ring.nu(1)) * l1 + const
-    if lo == 2:
-        l3 = l_op(ctx, "L3", hi)
-        l4 = l_op(ctx, "L4", hi)
-        return -(l3 * l4) - (2 * ring.nu(hi) - 1) * l4 + (2 * ring.nu(2)) * l3 + const
-    l5 = l_op_pair(ctx, "L5", hi, lo)
-    l6 = l_op_pair(ctx, "L6", hi, lo)
-    return -(l5 * l6) - (2 * ring.nu(hi) - 1) * l6 + (2 * ring.nu(lo)) * l5 + const
+    s, x, y = _lead_blocks(ctx, lo, hi)
+    return (s * x) * y - (2 * ring.nu(hi) - 1) * y + (-2 * s * ring.nu(lo)) * x + const
 
 
 def embedded_c_set(ctx: RacahContext, A: Iterable[int]) -> EmbeddedExpr:
@@ -242,7 +236,8 @@ def _rewriting_checks(ctx: RacahContext, report: Report) -> None:
     """The normal-ordering steps that justify each embedded product form.
 
     Each chain starts from the leading term of the pair Casimir it rewrites,
-    as `c_pair` computes it, and ends in a product of L blocks.
+    as `c_pair` computes it, and ends in the product of L blocks that
+    `_lead_blocks` gives, the same table `embedded_c_pair` reads.
     """
     euler = ctx.dm.euler_op()
 
@@ -254,39 +249,27 @@ def _rewriting_checks(ctx: RacahContext, report: Report) -> None:
         """-u_B^2 (d_{j-2} - d_{j-1}) (-d_1 + Euler) with B = {1..j-2}."""
         return -(ctx.u_range(1, j - 2) ** 2 * (ctx.step(j) * (-ctx.partial_or_zero(1) + euler)))
 
+    def split(lo, hi):
+        """s X Y + Y over the lead blocks of (lo, hi), the form of c_pair_lead."""
+        s, x, y = _lead_blocks(ctx, lo, hi)
+        return (s * x.op) * y.op + y.op
+
+    steps = (
+        (1, raised, "degree factor commutes through the step derivative", "L1 L2 + L2"),
+        (2, lowered, "lowering factor commutes through the step derivative", "-L3 L4 + L4"),
+    )
     for j in range(3, ctx.n + 1):
-
-        def rw1b():
-            l1, l2 = l_op(ctx, "L1", j).op, l_op(ctx, "L2", j).op
-            return raised(j), l1 * l2 + l2
-
-        def rw2b():
-            l3, l4 = l_op(ctx, "L3", j).op, l_op(ctx, "L4", j).op
-            return lowered(j), -(l3 * l4) + l4
-
-        report.add(
-            timed_check(
-                f"rw1a({j})",
-                "degree factor commutes through the step derivative",
-                lambda: (ctx.c_pair_lead(1, j), raised(j)),
+        for lo, middle, commutes, form in steps:
+            report.add(
+                timed_check(f"rw{lo}a({j})", commutes, lambda: (ctx.c_pair_lead(lo, j), middle(j)))
             )
-        )
-        report.add(timed_check(f"rw1b({j})", "first term splits as L1 L2 + L2", rw1b))
-        report.add(
-            timed_check(
-                f"rw2a({j})",
-                "lowering factor commutes through the step derivative",
-                lambda: (ctx.c_pair_lead(2, j), lowered(j)),
-            )
-        )
-        report.add(timed_check(f"rw2b({j})", "first term splits as -L3 L4 + L4", rw2b))
+            splits = f"first term splits as {form}"
+            report.add(timed_check(f"rw{lo}b({j})", splits, lambda: (middle(j), split(lo, j))))
     for lo, hi in combinations(range(3, ctx.n + 1), 2):
-
-        def rw3():
-            l5, l6 = l_op_pair(ctx, "L5", hi, lo).op, l_op_pair(ctx, "L6", hi, lo).op
-            return ctx.c_pair_lead(lo, hi), -(l5 * l6) + l6
-
-        report.add(timed_check(f"rw3({lo},{hi})", "first term splits as -L5 L6 + L6", rw3))
+        splits = "first term splits as -L5 L6 + L6"
+        report.add(
+            timed_check(f"rw3({lo},{hi})", splits, lambda: (ctx.c_pair_lead(lo, hi), split(lo, hi)))
+        )
 
 
 def verify_embedding(ctx: RacahContext) -> Report:

@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .poly import SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum
 
-__all__ = ["WeylOp", "commutator"]
+__all__ = ["WeylOp"]
 
 
 @lru_cache(maxsize=4096)
@@ -229,7 +229,3 @@ class WeylOp(SparseSum):
         from .printing import print_canonical
 
         return print_canonical(self)
-
-
-def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
-    return a.commutator(b)

@@ -280,6 +280,27 @@ def test_product_work_limit(monkeypatch, capsys):
     assert "exceeds the limit 100" in capsys.readouterr().err
 
 
+def test_commute_work_limit(monkeypatch, capsys):
+    # both products of the commutator count against the limit; over it the
+    # commutator is never composed
+    argv = ["commute", "--n", "5", "--lhs", "C[1,2]", "--rhs", "(u1+u2+u3+d1+d2+d3)^2"]
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 3080)
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out.strip()
+
+    def refuse(self, other):
+        raise AssertionError("over-limit commutator composed")
+
+    monkeypatch.setattr(WeylOp, "commutator", refuse)
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 3079)
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a commutator of 3080 coefficient term pairs exceeds the limit 3079\n"
+    )
+
+
 def test_recorded_requests_stay_under_the_work_limit(monkeypatch, capsys):
     # every request of the benchmark's query stream and of the README runs
     # with its recorded output, and no product comes near the limit

@@ -226,3 +226,27 @@ def test_rewrite_steps_start_from_c_pair():
     assert rc.c_pair_lead(3, 1) == lead + bump
     report = verify_embedding(rc)
     assert [c.id for c in report.checks if not c.equal] == ["rw1a(3)", "C(1,3)"]
+
+
+@pytest.mark.parametrize(
+    "n, pair, corrupt, failing",
+    [
+        (4, (1, 3), lambda s, x, y: (-s, x, y), ["rw1b(3)", "C(1,3)"]),
+        (5, (3, 5), lambda s, x, y: (s, y, x), ["rw3(3,5)", "C(3,5)"]),
+    ],
+    ids=["sign-flipped-1-3", "blocks-swapped-3-5"],
+)
+def test_lead_blocks_feed_both_sides(monkeypatch, n, pair, corrupt, failing):
+    # one wrong table entry reaches its rewrite step and its embedded pair only
+    import weylracah.embed as embed_mod
+
+    original = embed_mod._lead_blocks
+
+    def wrong(ctx, lo, hi):
+        blocks = original(ctx, lo, hi)
+        return corrupt(*blocks) if (lo, hi) == pair else blocks
+
+    monkeypatch.setattr(embed_mod, "_lead_blocks", wrong)
+    report = verify_embedding(RacahContext(n))
+    assert len(report.checks) == {4: 21, 5: 35}[n]
+    assert [c.id for c in report.checks if not c.equal] == failing

@@ -1,10 +1,14 @@
-"""The span table of perfbench/tracing.py names attributes the package still has."""
+"""The benchmark harness in perfbench/ still fits the package: its span table
+names attributes the package has, and its self-test passes."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_traced_names_resolve():
@@ -20,3 +24,16 @@ def test_traced_names_resolve():
             assert attr in vars(getattr(owner, cls)), name
         else:
             assert callable(getattr(owner, attr, None)), name
+
+
+def test_benchmark_selftest_passes():
+    # runs every workload shrunken, traced too, so a span in tracing.REQUIRED
+    # that a refactor stops calling fails here
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
