@@ -116,7 +116,7 @@ def run_cli(argv=None) -> int:
         if args.command == "commute":
             lhs = elaborate(parse(args.lhs, ctx), ctx)
             rhs = elaborate(parse(args.rhs, ctx), ctx)
-            bound_work("a commutator", lhs.product_work(rhs) + rhs.product_work(lhs))
+            bound_work("a commutator", lhs.product_work(rhs, 1) + rhs.product_work(lhs, 1))
             print(print_canonical(lhs.commutator(rhs)))
             return 0
 

@@ -32,8 +32,9 @@ __all__ = ["ParseError", "parse", "elaborate"]
 MAX_EXPONENT = 64
 # Deepest nesting of '(' and unary '-'; the parser and `elaborate` recurse per level.
 MAX_DEPTH = 64
-# Most coefficient term pairs (WeylOp.product_work) of one product in `elaborate`;
-# products run at about 0.5-1.5 us a pair on a 2-vCPU VM under CPython 3.11.
+# Most coefficient term pairs (WeylOp.product_work) that the products of one
+# `elaborate` call form together; products run at about 0.5-1.5 us a pair on a
+# 2-vCPU VM under CPython 3.11.
 MAX_PRODUCT_WORK = 2_000_000
 
 
@@ -282,28 +283,44 @@ def bound_work(what: str, work: int) -> None:
         )
 
 
-def _product(a: WeylOp, b: WeylOp) -> WeylOp:
-    """a*b, refused when it would exceed MAX_PRODUCT_WORK."""
-    bound_work("a product", a.product_work(b))
-    return a * b
-
-
 def elaborate(ast, ctx: RacahContext) -> WeylOp:
     """Evaluate an AST to a normal-form operator via the module constructors.
 
-    Every product, each factor of a power included, is checked by `_product`.
+    Every product, each factor of a power included, draws its work from one
+    budget of MAX_PRODUCT_WORK term pairs for the whole expression.
     """
-    if isinstance(ast, Num):
-        return WeylOp.scalar(ctx.ring, ast.value)
-    if isinstance(ast, Ref):
-        return ATOMS[ast.name].build(ctx, *ast.args)
-    if isinstance(ast, Neg):
-        return -elaborate(ast.arg, ctx)
-    if isinstance(ast, Pow):
-        base = elaborate(ast.base, ctx)
-        return reduce(_product, [base] * ast.exponent, WeylOp.identity(ctx.ring))
-    if isinstance(ast, Sum):
-        return reduce(operator.add, [elaborate(part, ctx) for part in ast.parts])
-    if isinstance(ast, Prod):
-        return reduce(_product, [elaborate(part, ctx) for part in ast.parts])
-    raise TypeError(f"not an AST node: {ast!r}")
+    return _Elaboration(ctx).value(ast)
+
+
+class _Elaboration:
+    """One `elaborate` call: its context and the term pairs its products formed.
+
+    A class rather than a recursive closure, which would form a reference
+    cycle that keeps the context and its operator caches alive after the call.
+    """
+
+    def __init__(self, ctx: RacahContext):
+        self.ctx = ctx
+        self.spent = 0
+
+    def product(self, a: WeylOp, b: WeylOp) -> WeylOp:
+        self.spent += a.product_work(b)
+        bound_work("an expression", self.spent)
+        return a * b
+
+    def value(self, node) -> WeylOp:
+        ctx = self.ctx
+        if isinstance(node, Num):
+            return WeylOp.scalar(ctx.ring, node.value)
+        if isinstance(node, Ref):
+            return ATOMS[node.name].build(ctx, *node.args)
+        if isinstance(node, Neg):
+            return -self.value(node.arg)
+        if isinstance(node, Pow):
+            base = self.value(node.base)
+            return reduce(self.product, [base] * node.exponent, WeylOp.identity(ctx.ring))
+        if isinstance(node, Sum):
+            return reduce(operator.add, [self.value(part) for part in node.parts])
+        if isinstance(node, Prod):
+            return reduce(self.product, [self.value(part) for part in node.parts])
+        raise TypeError(f"not an AST node: {node!r}")

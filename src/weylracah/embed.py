@@ -199,11 +199,7 @@ def embedded_c_pair(ctx: RacahContext, i: int, j: int) -> EmbeddedExpr:
       -(-Euler - 1)(-d_1 + Euler) + 2 nu_2 (-Euler) - 2 nu_1 (-d_1 + Euler) + const,
     where const = (nu_lo + nu_hi)(nu_lo + nu_hi - 1).
     """
-    if i == j:
-        raise ValueError("pair Casimir needs two distinct factors")
-    if not (1 <= i <= ctx.n and 1 <= j <= ctx.n):
-        raise ValueError(f"pair ({i},{j}) out of range 1..{ctx.n}")
-    lo, hi = sorted((i, j))
+    lo, hi = ctx.pair_key(i, j)
     ring = ctx.ring
     const = EmbeddedExpr.scalar(ctx, (ring.nu(lo) + ring.nu(hi)) * (ring.nu(lo) + ring.nu(hi) - 1))
     if (lo, hi) == (1, 2):

@@ -127,12 +127,14 @@ def grlex_key(exps: tuple) -> tuple:
 
 
 class SparseSum:
-    """Ring operations shared by Poly and WeylOp.
+    """Ring operations shared by Poly, WeylOp, SlElement and OpMatrix.
 
-    An element is a finite map `terms` from keys (monomials, or derivative
-    exponents) to nonzero coefficients over `ring`. A subclass supplies the
-    constructor `(ring, terms, *, _trusted)`, `_coerce`, which turns an
-    operand into the subclass or returns None, and its own product.
+    An element is a finite map `terms` from keys (monomials, derivative
+    exponents, sl basis labels or matrix positions) to nonzero coefficients;
+    `ring` is what two operands must share (the ambient ring, the rank of
+    sl_m or the matrix size). A subclass supplies the constructor
+    `(ring, terms, *, _trusted)`, `_coerce`, which turns an operand into the
+    subclass or returns None, and its own product.
     """
 
     __slots__ = ()
@@ -191,6 +193,8 @@ class SparseSum:
         if not isinstance(n, int) or n < 0:
             raise ValueError("power must be a non-negative integer")
         result = self._coerce(1)
+        if result is None:  # no unit: sl elements and matrices take no powers
+            return NotImplemented
         base = self
         while n:
             if n & 1:

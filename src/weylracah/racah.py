@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 from .poly import Poly, Ring
 from .report import Report, timed_check
-from .sln import DmContext, nonempty_subsets
+from .sln import DmContext, index_subset, nonempty_subsets
 from .weyl import WeylOp
 
 __all__ = ["RacahContext", "check_racah_structure", "subset_casimir"]
@@ -84,11 +84,7 @@ class RacahContext:
         Each shape is its quadratic leading term plus lower-order terms; the
         leading term is cached with the operator (see `c_pair_lead`).
         """
-        if i == j:
-            raise ValueError("pair Casimir needs two distinct factors")
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValueError(f"pair ({i},{j}) out of range 1..{self.n}")
-        lo, hi = sorted((i, j))
+        lo, hi = self.pair_key(i, j)
         cached = self._pairs.get((lo, hi))
         if cached is not None:
             return cached[1]
@@ -143,15 +139,17 @@ class RacahContext:
         """The quadratic leading term of c_pair(i, j): the product that the
         embedding's rewrite steps normal-order into L blocks."""
         self.c_pair(i, j)
-        return self._pairs[tuple(sorted((i, j)))][0]
+        return self._pairs[self.pair_key(i, j)][0]
+
+    def pair_key(self, i: int, j: int) -> tuple[int, int]:
+        """The sorted pair (lo, hi) of two distinct factors."""
+        if i == j:
+            raise ValueError("pair Casimir needs two distinct factors")
+        return self.subset_key((i, j))
 
     def subset_key(self, A: Iterable[int]) -> tuple[int, ...]:
-        a = tuple(sorted(set(A)))
-        if not a:
-            raise ValueError("empty factor subset")
-        if a[0] < 1 or a[-1] > self.n:
-            raise ValueError(f"subset {a} not contained in 1..{self.n}")
-        return a
+        """The sorted distinct factors of A, checked against 1..n."""
+        return index_subset(A, self.n)
 
     def c_set(self, A: Iterable[int]) -> WeylOp:
         """Casimir of a factor subset, by `subset_casimir`."""

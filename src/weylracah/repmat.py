@@ -11,14 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .poly import Poly, Rat, Ring, _as_rat
+from .poly import Poly, Rat, Ring, SparseSum, _as_rat
 from .weyl import WeylOp
 
 __all__ = ["LeakageError", "PiBasis", "OpMatrix", "basis", "to_matrix", "mat_check_identity"]
 
-# Largest basis that `basis` builds: a matrix over it is dense, size^2 rationals.
+# Largest basis that `basis` builds: a matrix over it has up to size^2 entries.
 MAX_BASIS = 2000
 
 
@@ -66,20 +66,34 @@ def basis(ring: Ring, degree: int) -> PiBasis:
     return PiBasis(ring, degree, tuple(monos), {mono: i for i, mono in enumerate(monos)})
 
 
-class OpMatrix:
-    """Dense square matrix of exact rationals."""
+class OpMatrix(SparseSum):
+    """Square matrix of exact rationals, stored as its nonzero entries.
 
-    __slots__ = ("size", "rows")
+    `terms` maps (row, col), both 0-based, to nonzero values and `ring` is
+    the size; sums and equality come from SparseSum.
+    """
 
-    def __init__(self, rows: Sequence[Sequence[Rat]]):
-        self.size = len(rows)
-        self.rows = [list(r) for r in rows]
-        if any(len(r) != self.size for r in self.rows):
-            raise ValueError("matrix is not square")
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring: int, terms: Mapping[tuple, Rat], *, _trusted=False):
+        self.ring = ring
+        if _trusted:
+            self.terms = terms
+            return
+        if any(not (0 <= i < ring and 0 <= j < ring) for i, j in terms):
+            raise ValueError(f"entry position outside a {ring} x {ring} matrix")
+        self.terms = {key: _as_rat(c) for key, c in terms.items() if c}
+
+    def _coerce(self, other) -> "OpMatrix | None":
+        if not isinstance(other, OpMatrix):
+            return None
+        if other.ring != self.ring:
+            raise ValueError("matrix size mismatch")
+        return other
 
     @staticmethod
     def zero(size: int) -> "OpMatrix":
-        return OpMatrix([[0] * size for _ in range(size)])
+        return OpMatrix(size, {})
 
     @staticmethod
     def identity(size: int) -> "OpMatrix":
@@ -88,60 +102,32 @@ class OpMatrix:
     @staticmethod
     def scalar(size: int, value) -> "OpMatrix":
         v = _as_rat(value)
-        out = OpMatrix.zero(size)
-        for i in range(size):
-            out.rows[i][i] = v
-        return out
+        return OpMatrix(size, {(i, i): v for i in range(size)})
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, OpMatrix)
-            and self.size == other.size
-            and self.rows == other.rows
-        )
-
-    def is_zero(self) -> bool:
-        return all(not e for row in self.rows for e in row)
-
-    def __add__(self, other: "OpMatrix") -> "OpMatrix":
-        if self.size != other.size:
-            raise ValueError("matrix size mismatch")
-        return OpMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __neg__(self):
-        return OpMatrix([[-e for e in row] for row in self.rows])
-
-    def __sub__(self, other: "OpMatrix") -> "OpMatrix":
-        return self + (-other)
+    @property
+    def rows(self) -> list[list[Rat]]:
+        """The dense view: a list of rows with zeros filled in."""
+        rows = [[0] * self.ring for _ in range(self.ring)]
+        for (i, j), e in self.terms.items():
+            rows[i][j] = e
+        return rows
 
     def __rmul__(self, value) -> "OpMatrix":
         v = _as_rat(value)
-        return OpMatrix([[v * e for e in row] for row in self.rows])
+        return OpMatrix(self.ring, {key: v * e for key, e in self.terms.items()})
 
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
-        if self.size != other.size:
-            raise ValueError("matrix size mismatch")
-        n = self.size
-        out = [[0] * n for _ in range(n)]
-        brows = other.rows
-        for i in range(n):
-            arow = self.rows[i]
-            orow = out[i]
-            for p in range(n):
-                a = arow[p]
-                if not a:
-                    continue
-                brow = brows[p]
-                for q in range(n):
-                    b = brow[q]
-                    if b:
-                        orow[q] += a * b
-        return OpMatrix(out)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        by_row: dict[int, list] = {}
+        for (p, q), b in other.terms.items():
+            by_row.setdefault(p, []).append((q, b))
+        out: dict[tuple, Rat] = {}
+        for (i, p), a in self.terms.items():
+            for q, b in by_row.get(p, ()):
+                out[(i, q)] = out.get((i, q), 0) + a * b
+        return OpMatrix(self.ring, {key: c for key, c in out.items() if c}, _trusted=True)
 
     def commutator(self, other: "OpMatrix") -> "OpMatrix":
         return self @ other - other @ self
@@ -151,7 +137,7 @@ class OpMatrix:
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
 
     def __repr__(self):
-        return f"OpMatrix(size={self.size})"
+        return f"OpMatrix(size={self.ring})"
 
 
 def _full_assignment(ring: Ring, pi: PiBasis, assignment: Mapping[str, object]) -> dict:
@@ -181,22 +167,19 @@ def to_matrix(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> OpMa
         raise ValueError("operator and basis rings differ")
     values = _full_assignment(op.ring, pi, assignment)
     numeric = op.subs(values)
-    size = pi.size
-    cols = []
+    entries = {}
     nv = op.ring.num_vars
-    for col in range(size):
+    for col in range(pi.size):
         image = numeric.apply(pi.monomial_poly(col))
-        vec = [0] * size
         for exps, coeff in image.terms.items():
-            pos = pi.index.get(exps)
-            if pos is None:
+            row = pi.index.get(exps)
+            if row is None:
                 raise LeakageError(
                     f"image of basis monomial {pi.monomials[col]} contains "
                     f"degree {sum(exps[:nv])} term {exps}, bound is {pi.degree}"
                 )
-            vec[pos] = coeff
-        cols.append(vec)
-    return OpMatrix([[cols[j][i] for j in range(size)] for i in range(size)])
+            entries[(row, col)] = coeff
+    return OpMatrix(pi.size, entries, _trusted=True)
 
 
 def mat_check_identity(

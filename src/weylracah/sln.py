@@ -17,7 +17,7 @@ from functools import reduce
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .poly import Poly, Rat, Ring, _as_rat
+from .poly import Poly, Rat, Ring, SparseSum, _as_rat
 from .report import Report, timed_check
 from .weyl import WeylOp
 
@@ -41,14 +41,35 @@ def nonempty_subsets(limit: int) -> list[tuple[int, ...]]:
     return out
 
 
-class SlElement:
-    """Rational combination of the trace-zero basis E_ij, H_d = E_dd - E_mm."""
+def index_subset(indices: Iterable[int], limit: int) -> tuple[int, ...]:
+    """The distinct indices in increasing order; they must be non-empty and in 1..limit."""
+    a = tuple(sorted(set(indices)))
+    if not a:
+        raise ValueError("empty subset")
+    if a[0] < 1 or a[-1] > limit:
+        raise ValueError(f"subset {a} not contained in 1..{limit}")
+    return a
 
-    __slots__ = ("m", "coeffs")
 
-    def __init__(self, m: int, coeffs: dict):
-        self.m = m
-        self.coeffs = {key: _as_rat(c) for key, c in coeffs.items() if c}
+class SlElement(SparseSum):
+    """Rational combination of the trace-zero basis E_ij, H_d = E_dd - E_mm.
+
+    `terms` maps the labels ("E", i, j) and ("H", d) to coefficients, and
+    `ring` is the rank m; sums and equality come from SparseSum.
+    """
+
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring: int, terms: dict, *, _trusted=False):
+        self.ring = ring
+        self.terms = terms if _trusted else {key: _as_rat(c) for key, c in terms.items() if c}
+
+    def _coerce(self, other) -> "SlElement | None":
+        if not isinstance(other, SlElement):
+            return None
+        if other.ring != self.ring:
+            raise ValueError(f"sl elements of ranks {self.ring} and {other.ring}")
+        return other
 
     @staticmethod
     def zero(m: int) -> "SlElement":
@@ -80,46 +101,22 @@ class SlElement:
 
     def label(self) -> str:
         parts = []
-        for key in sorted(self.coeffs, key=lambda t: (t[0], t[1:])):
-            c = self.coeffs[key]
+        for key in sorted(self.terms, key=lambda t: (t[0], t[1:])):
+            c = self.terms[key]
             name = f"E({key[1]},{key[2]})" if key[0] == "E" else f"H({key[1]})"
             parts.append(name if c == 1 else f"{c}*{name}")
         return " + ".join(parts) if parts else "0"
 
-    def _check_rank(self, other: "SlElement"):
-        if self.m != other.m:
-            raise ValueError("sl elements of different rank")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SlElement)
-            and self.m == other.m
-            and self.coeffs == other.coeffs
-        )
-
-    def __add__(self, other: "SlElement") -> "SlElement":
-        self._check_rank(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
-        return SlElement(self.m, out)
-
-    def __neg__(self):
-        return SlElement(self.m, {key: -c for key, c in self.coeffs.items()})
-
-    def __sub__(self, other: "SlElement") -> "SlElement":
-        return self + (-other)
-
     def __rmul__(self, scalar) -> "SlElement":
         s = _as_rat(scalar)
-        return SlElement(self.m, {key: s * c for key, c in self.coeffs.items()})
+        return SlElement(self.ring, {key: s * c for key, c in self.terms.items()})
 
     def _entries(self) -> dict:
         """Matrix entries {(i, j): value}: E_ij is entry (i, j), and H_d adds
         to entry (d, d) and subtracts from entry (m, m)."""
-        m = self.m
+        m = self.ring
         out = {}
-        for key, c in self.coeffs.items():
+        for key, c in self.terms.items():
             if key[0] == "E":
                 out[key[1:]] = c
             else:
@@ -133,13 +130,13 @@ class SlElement:
         gives H_d, and entry (m, m) is fixed by the trace."""
         if sum(c for (i, j), c in entries.items() if i == j):
             raise ValueError("matrix is not trace-free")
-        coeffs = {}
+        terms = {}
         for (i, j), c in entries.items():
             if i != j:
-                coeffs[("E", i, j)] = c
+                terms[("E", i, j)] = c
             elif i < m:
-                coeffs[("H", i)] = c
-        return SlElement(m, coeffs)
+                terms[("H", i)] = c
+        return SlElement(m, terms)
 
     @staticmethod
     def from_matrix(m: int, mat: Sequence[Sequence[Rat]]) -> "SlElement":
@@ -148,7 +145,7 @@ class SlElement:
 
     def bracket(self, other: "SlElement") -> "SlElement":
         """Lie bracket XY - YX by matrix units: E_ij E_kl = delta_jk E_il."""
-        self._check_rank(other)
+        self._coerce(other)  # raises on a rank mismatch
         x, y = self._entries(), other._entries()
         out = {}
         for (i, j), a in x.items():
@@ -157,7 +154,7 @@ class SlElement:
                     out[(i, l)] = out.get((i, l), 0) + a * b
                 if l == i:
                     out[(k, j)] = out.get((k, j), 0) - b * a
-        return SlElement._from_entries(self.m, out)
+        return SlElement._from_entries(self.ring, out)
 
     def __repr__(self):
         return f"SlElement({self.label()})"
@@ -224,22 +221,14 @@ class DmContext:
 
     def sigma(self, x: SlElement) -> WeylOp:
         """Linear extension of E_ij -> t_op(i,j), H_d -> ttilde_op(d)."""
-        if x.m != self.m:
-            raise ValueError(f"element of sl_{x.m} fed to {self!r}")
+        if x.ring != self.m:
+            raise ValueError(f"element of sl_{x.ring} fed to {self!r}")
         op = WeylOp.zero(self.ring)
-        for key in sorted(x.coeffs, key=lambda t: (t[0], t[1:])):
-            c = x.coeffs[key]
+        for key in sorted(x.terms, key=lambda t: (t[0], t[1:])):
+            c = x.terms[key]
             gen = self.t_op(key[1], key[2]) if key[0] == "E" else self.ttilde_op(key[1])
             op = op + c * gen
         return op
-
-    def _check_subset(self, B: Iterable[int]) -> tuple[int, ...]:
-        b = tuple(sorted(set(B)))
-        if not b:
-            raise ValueError("empty variable subset")
-        if b[0] < 1 or b[-1] > self.m - 1:
-            raise ValueError(f"subset {b} not contained in 1..{self.m - 1}")
-        return b
 
     def u_set_euler(self, B: Iterable[int]) -> WeylOp:
         """u_B times the Euler operator, evaluated from `u_euler_tree`."""
@@ -349,13 +338,13 @@ def euler_tree(dm: DmContext) -> ProdNode:
 
 def u_euler_tree(dm: DmContext, B: Iterable[int]) -> SumNode:
     """u_B times the Euler operator as the sum of t_op(m, j) over j in B."""
-    return SumNode(tuple(GenT(dm.m, j) for j in dm._check_subset(B)))
+    return SumNode(tuple(GenT(dm.m, j) for j in index_subset(B, dm.m - 1)))
 
 
 def u_partial_tree(dm: DmContext, B: Iterable[int], alpha: int) -> ProdNode:
     """u_B d_alpha = -delta(alpha in B) (ttilde_alpha + Euler) minus the
     sum of t_op(alpha, j) over j in B other than alpha."""
-    b = dm._check_subset(B)
+    b = index_subset(B, dm.m - 1)
     if not 1 <= alpha <= dm.m - 1:
         raise ValueError(f"derivative index {alpha} out of range 1..{dm.m - 1}")
     parts = (GenTtilde(alpha), GenEuler()) if alpha in b else ()

@@ -121,13 +121,14 @@ class WeylOp(SparseSum):
         monomials = [m for q in self.terms.values() for m in q.terms]
         return tuple(map(max, islice(zip(*monomials), self.ring.num_vars)))
 
-    def product_work(self, other: "WeylOp") -> int:
-        """Coefficient term pairs that self*other can form: each term of self
-        meets each term of other once per gamma of its Leibniz expansion."""
+    def product_work(self, other: "WeylOp", start: int = 0) -> int:
+        """Coefficient term pairs that `_leibniz(other, out, start)` can form:
+        each term of self meets each term of other once per gamma of its
+        Leibniz expansion, leaving out gamma = 0 when start is 1."""
         top = other._u_degrees()
         size = sum(len(q.terms) for q in other.terms.values())
         return size * sum(
-            len(p.terms) * math.prod(min(a, t) + 1 for a, t in zip(alpha, top))
+            len(p.terms) * (math.prod(min(a, t) + 1 for a, t in zip(alpha, top)) - start)
             for alpha, p in self.terms.items()
         )
 

@@ -116,7 +116,7 @@ def test_ac5_racah_structure():
 
 def _sigma_matrix(element, gen_mats, size):
     out = OpMatrix.zero(size)
-    for key, coeff in element.coeffs.items():
+    for key, coeff in element.terms.items():
         out = out + coeff * gen_mats[key]
     return out
 

@@ -255,6 +255,9 @@ def test_product_work_counts_leibniz_terms():
     b = run("u1^3 u2 + u3 + k", rc5)  # 3 terms, u-degrees (3,1,1)
     assert b.product_work(a) == 3 * 2
     assert a.product_work(b) == 3 * (3 * 2 * 1 + 1)
+    # start=1 leaves out gamma = 0, as the commutator's Leibniz loop does
+    assert b.product_work(a, 1) == 0
+    assert a.product_work(b, 1) == 3 * (3 * 2 * 1 - 1)
     p, q = WeylOp.from_poly(ring.u(1) + ring.k()), WeylOp.from_poly(ring.u(2) - 1)
     assert p.product_work(q) == 2 * 2
 
@@ -263,15 +266,23 @@ def test_product_work_limit(monkeypatch, capsys):
     # the limit is lowered, so no over-limit product is ever attempted
     rc5 = RacahContext(5)
     base = "(u1+u2+u3+d1+d2+d3)"
-    # the factors of base^4 cost 54, 258 and 882 term pairs; the fifth 2436
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 882)
+    # the factors of base^4, from the identity, cost 6, 54, 258 and 882 term
+    # pairs, 1200 together; the fifth costs 2436
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 1200)
     assert run(base + "^4", rc5) == run(base, rc5) ** 4
     with pytest.raises(ParseError) as info:
         run(base + "^5", rc5)
     assert info.value.position is None
-    assert str(info.value) == "a product of 2436 coefficient term pairs exceeds the limit 882"
-    for text in (base + "^3 " + base + "^2", "(" + base + "^4) " + base, "-" + base + "^6"):
-        with pytest.raises(ParseError, match="exceeds the limit 882"):
+    assert str(info.value) == "an expression of 3636 coefficient term pairs exceeds the limit 1200"
+    # one budget for the whole expression: each power alone fits, not the sum
+    for text in (
+        base + "^3 " + base + "^2",
+        "(" + base + "^4) " + base,
+        "-" + base + "^6",
+        base + "^4 + " + base + "^4",
+        base + "^2 - " + base + "^4",
+    ):
+        with pytest.raises(ParseError, match="exceeds the limit 1200"):
             run(text, rc5)
     monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 100)
     assert run_cli(["commute", "--n", "5", "--lhs", "C[1,2]", "--rhs", base + "^3"]) == 2
@@ -284,7 +295,7 @@ def test_commute_work_limit(monkeypatch, capsys):
     # both products of the commutator count against the limit; over it the
     # commutator is never composed
     argv = ["commute", "--n", "5", "--lhs", "C[1,2]", "--rhs", "(u1+u2+u3+d1+d2+d3)^2"]
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 3080)
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 1628)
     assert run_cli(argv) == 0
     assert capsys.readouterr().out.strip()
 
@@ -292,18 +303,27 @@ def test_commute_work_limit(monkeypatch, capsys):
         raise AssertionError("over-limit commutator composed")
 
     monkeypatch.setattr(WeylOp, "commutator", refuse)
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 3079)
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 1627)
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: a commutator of 3080 coefficient term pairs exceeds the limit 3079\n"
+        "error: a commutator of 1628 coefficient term pairs exceeds the limit 1627\n"
     )
+
+
+def test_commute_work_skips_cancelling_terms(monkeypatch, capsys):
+    # the commutator forms no gamma = 0 Leibniz terms, so two u-free
+    # operators cost nothing, whatever the limit
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 0)
+    argv = ["commute", "--n", "5", "--lhs", "d1+d2+d3", "--rhs", "d2 + C[3] - k"]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_recorded_requests_stay_under_the_work_limit(monkeypatch, capsys):
     # every request of the benchmark's query stream and of the README runs
-    # with its recorded output, and no product comes near the limit
+    # with its recorded output, and no request's work comes near the limit
     queries = Path(__file__).resolve().parents[1] / "perfbench" / "queries.json"
     requests = json.loads(queries.read_text(encoding="utf-8"))
     readme = [
@@ -311,18 +331,22 @@ def test_recorded_requests_stay_under_the_work_limit(monkeypatch, capsys):
         ["commute", "--n", "4", "--lhs", "T[2,1]", "--rhs", "d1"],
         ["matrix", "--n", "4", "--k", "2", "--nu", "1/2,3/2,5/2,7/2", "--op", "C[1,2]"],
     ]
-    largest = []
-    product = dsl._product
+    spent = []
+    product_work = WeylOp.product_work
 
-    def recording(a, b):
-        largest.append(a.product_work(b))
-        return product(a, b)
+    def recording(self, other, start=0):
+        work = product_work(self, other, start)
+        spent[-1] += work
+        return work
 
-    monkeypatch.setattr(dsl, "_product", recording)
+    # the total over every product and commutator bound of one request
+    monkeypatch.setattr(WeylOp, "product_work", recording)
     for request in requests:
+        spent.append(0)
         assert run_cli(request["argv"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == request["sha256"]
     for argv in readme:
+        spent.append(0)
         assert run_cli(argv) == 0
-    assert 0 < max(largest) <= dsl.MAX_PRODUCT_WORK // 1000
+    assert 0 < max(spent) <= dsl.MAX_PRODUCT_WORK // 1000

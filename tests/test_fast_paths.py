@@ -76,7 +76,7 @@ def test_casimir_and_image_coefficients_are_ints(rc5):
         assert all(type(c) is int for c in coefficients(op))
     for x in basis:
         for y in basis:
-            assert all(type(c) is int for c in x.bracket(y).coeffs.values())
+            assert all(type(c) is int for c in x.bracket(y).terms.values())
 
 
 def test_fractions_stay_where_needed(rc5):

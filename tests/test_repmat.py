@@ -2,10 +2,11 @@
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 
-from helpers import random_invariant_op, random_nu_values
+from helpers import random_invariant_op, random_nu_values, random_rational
 from weylracah import (
     LeakageError,
     OpMatrix,
@@ -158,7 +159,7 @@ def test_tree_matrix_evaluation_matches():
 
 
 def test_matrix_dump_format():
-    mat = OpMatrix([[Rat(1, 2), Rat(0)], [Rat(-3), Rat(7, 3)]])
+    mat = OpMatrix(2, {(0, 0): Rat(1, 2), (0, 1): Rat(0), (1, 0): Rat(-3), (1, 1): Rat(7, 3)})
     assert mat.dump() == "1/2 0\n-3 7/3"
 
 
@@ -173,6 +174,69 @@ def test_matrix_algebra():
         0.1 * OpMatrix.identity(2)
     with pytest.raises(ValueError):
         eye @ OpMatrix.identity(2)
+
+
+def random_rows(rng, size):
+    """A size x size list of rows with about half of its entries zero."""
+    return [
+        [random_rational(rng) if rng.random() < 0.5 else 0 for _ in range(size)]
+        for _ in range(size)
+    ]
+
+
+def from_rows(rows):
+    return OpMatrix(len(rows), {(i, j): e for i, row in enumerate(rows) for j, e in enumerate(row)})
+
+
+def dense_product(a, b):
+    n = len(a)
+    return [[sum(a[i][p] * b[p][q] for p in range(n)) for q in range(n)] for i in range(n)]
+
+
+def entrywise(op, a, b):
+    return [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def test_sparse_matrix_matches_dense_arithmetic():
+    rng = random.Random(4711)
+    sub = lambda x, y: x - y
+    for size in range(1, 7):
+        for _ in range(12):
+            a, b = random_rows(rng, size), random_rows(rng, size)
+            ma, mb = from_rows(a), from_rows(b)
+            ab, ba = dense_product(a, b), dense_product(b, a)
+            com = entrywise(sub, ab, ba)
+            results = {
+                "@": (ma @ mb, ab),
+                "+": (ma + mb, entrywise(lambda x, y: x + y, a, b)),
+                "-": (ma - mb, entrywise(sub, a, b)),
+                "commutator": (ma.commutator(mb), com),
+                "cancel": (ma - from_rows(a), entrywise(sub, a, a)),
+            }
+            for name, (mat, rows) in results.items():
+                assert mat.rows == rows, (name, a, b)
+                assert all(mat.terms.values()), name  # only nonzero entries stored
+                assert mat.is_zero() == (not any(e for row in rows for e in row)), name
+            assert ma.commutator(ma).is_zero()
+            assert ma == from_rows([list(row) for row in a])
+            assert (ma == mb) == (a == b)
+            assert ma.dump() == "\n".join(" ".join(str(e) for e in row) for row in a)
+            with pytest.raises(ValueError):
+                ma + OpMatrix.zero(size + 1)
+
+
+def test_to_matrix_matches_column_images():
+    # column j holds the image of basis monomial j, computed here one column
+    # at a time
+    rc = RacahContext(4)
+    pi = basis(rc.ring, 2)
+    values = fixed_assignment(4, 2)
+    for i, j in combinations(range(1, 5), 2):
+        numeric = rc.c_pair(i, j).subs(values)
+        images = [numeric.apply(pi.monomial_poly(col)) for col in range(pi.size)]
+        assert all(set(image.terms) <= set(pi.monomials) for image in images)
+        rows = [[image.terms.get(mono, 0) for image in images] for mono in pi.monomials]
+        assert to_matrix(rc.c_pair(i, j), pi, values).rows == rows, (i, j)
 
 
 def test_column_convention():

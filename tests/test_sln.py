@@ -8,6 +8,7 @@ from helpers import random_rational
 
 from weylracah import (
     DmContext,
+    OpMatrix,
     Rat,
     SlElement,
     WeylOp,
@@ -196,9 +197,9 @@ def test_context_validation():
 
 def dense(x):
     """Reference m x m matrix of an sl element, read from its coefficients."""
-    m = x.m
+    m = x.ring
     mat = [[Rat(0)] * m for _ in range(m)]
-    for key, c in x.coeffs.items():
+    for key, c in x.terms.items():
         if key[0] == "E":
             mat[key[1] - 1][key[2] - 1] += c
         else:
@@ -231,3 +232,24 @@ def test_sparse_bracket_matches_dense_commutator():
                 for _ in range(2)
             )
             assert dense(x.bracket(y)) == dense_commutator(dense(x), dense(y)), (x, y)
+
+
+def test_rank_mismatch_raises():
+    x, y = SlElement.E(3, 1, 2), SlElement.E(4, 1, 2)
+    for combine in (
+        lambda: x + y,
+        lambda: y - x,
+        lambda: x.bracket(y),
+        lambda: y.bracket(x),
+    ):
+        with pytest.raises(ValueError, match="rank"):
+            combine()
+    assert x != y
+
+
+def test_no_powers_without_a_unit():
+    # sums come from the shared sparse core, powers do not
+    for value in (SlElement.E(3, 1, 2), OpMatrix.identity(2)):
+        for exponent in (0, 1, 2):
+            with pytest.raises(TypeError):
+                value**exponent
