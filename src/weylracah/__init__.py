@@ -4,7 +4,7 @@ certificates and an exact matrix oracle."""
 
 __version__ = "0.1.0"
 
-from .poly import ContextMismatchError, Poly, Rat, Ring
+from .poly import ContextMismatchError, MonomialOverflowError, Poly, Rat, Ring
 from .weyl import WeylOp
 from .report import Check, Report
 from .sln import (
@@ -33,6 +33,7 @@ from .cli import run_cli
 
 __all__ = [
     "ContextMismatchError",
+    "MonomialOverflowError",
     "Poly",
     "Rat",
     "Ring",

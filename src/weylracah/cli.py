@@ -11,7 +11,7 @@ import contextlib
 import re
 import sys
 
-from .dsl import ParseError, bound_work, elaborate, parse
+from .dsl import ParseError, _Elaboration, elaborate, parse
 from .embed import verify_embedding
 from .poly import Rat
 from .printing import print_canonical
@@ -114,10 +114,11 @@ def run_cli(argv=None) -> int:
             return 0
 
         if args.command == "commute":
-            lhs = elaborate(parse(args.lhs, ctx), ctx)
-            rhs = elaborate(parse(args.rhs, ctx), ctx)
-            bound_work("a commutator", lhs.product_work(rhs, 1) + rhs.product_work(lhs, 1))
-            print(print_canonical(lhs.commutator(rhs)))
+            # both sides and the commutator draw from one work budget
+            request = _Elaboration(ctx)
+            lhs = request.value(parse(args.lhs, ctx))
+            rhs = request.value(parse(args.rhs, ctx))
+            print(print_canonical(request.commutator(lhs, rhs)))
             return 0
 
         if args.command == "matrix":

@@ -33,8 +33,9 @@ MAX_EXPONENT = 64
 # Deepest nesting of '(' and unary '-'; the parser and `elaborate` recurse per level.
 MAX_DEPTH = 64
 # Most coefficient term pairs (WeylOp.product_work) that the products of one
-# `elaborate` call form together; products run at about 0.5-1.5 us a pair on a
-# 2-vCPU VM under CPython 3.11.
+# `elaborate` call form together, or of one `commute` request with its
+# commutator; products run at about 0.5-1.5 us a pair on a 2-vCPU VM under
+# CPython 3.11.
 MAX_PRODUCT_WORK = 2_000_000
 
 
@@ -274,15 +275,6 @@ def parse(text: str, ctx: RacahContext):
     return _Parser(text, ctx).parse()
 
 
-def bound_work(what: str, work: int) -> None:
-    """Refuse `what` with a ParseError when its `work` exceeds MAX_PRODUCT_WORK."""
-    if work > MAX_PRODUCT_WORK:
-        raise ParseError(
-            f"{what} of {work} coefficient term pairs exceeds the limit {MAX_PRODUCT_WORK}",
-            None,
-        )
-
-
 def elaborate(ast, ctx: RacahContext) -> WeylOp:
     """Evaluate an AST to a normal-form operator via the module constructors.
 
@@ -293,7 +285,8 @@ def elaborate(ast, ctx: RacahContext) -> WeylOp:
 
 
 class _Elaboration:
-    """One `elaborate` call: its context and the term pairs its products formed.
+    """One `elaborate` call, or one `commute` request: its context and the
+    term pairs its products formed.
 
     A class rather than a recursive closure, which would form a reference
     cycle that keeps the context and its operator caches alive after the call.
@@ -303,10 +296,23 @@ class _Elaboration:
         self.ctx = ctx
         self.spent = 0
 
+    def charge(self, what: str, work: int) -> None:
+        """Spend `work` term pairs; past MAX_PRODUCT_WORK, refuse `what`."""
+        self.spent += work
+        if self.spent > MAX_PRODUCT_WORK:
+            raise ParseError(
+                f"{what} of {self.spent} coefficient term pairs exceeds the limit "
+                f"{MAX_PRODUCT_WORK}",
+                None,
+            )
+
     def product(self, a: WeylOp, b: WeylOp) -> WeylOp:
-        self.spent += a.product_work(b)
-        bound_work("an expression", self.spent)
+        self.charge("an expression", a.product_work(b))
         return a * b
+
+    def commutator(self, a: WeylOp, b: WeylOp) -> WeylOp:
+        self.charge("a commute request", a.product_work(b, 1) + b.product_work(a, 1))
+        return a.commutator(b)
 
     def value(self, node) -> WeylOp:
         ctx = self.ctx

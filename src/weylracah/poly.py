@@ -2,9 +2,15 @@
 
 The ring has two kinds of commuting symbols: variables u1..um (the only
 differentiable ones) and formal parameters k, nu1..nun (constants under
-differentiation). A polynomial is a finite map from exponent vectors to
-nonzero rational coefficients, so structural equality is polynomial
-equality.
+differentiation). A polynomial is a finite map from monomials to nonzero
+rational coefficients, so structural equality is polynomial equality.
+
+A monomial is one packed int (Monagan and Pearce's packed exponent
+vectors): a field of FIELD bits per symbol, u1 most significant, and the
+total degree in a field above them all. Graded-lex order is then integer
+order, and the product of two monomials is their sum. A total degree, and
+so every exponent, is at most MAX_DEGREE, which keeps the fields of a sum
+from carrying; a product that would pass it raises MonomialOverflowError.
 
 A coefficient enters as an `int` when it is integral and as a `Fraction`
 only otherwise. Mixed int/Fraction arithmetic is exact and an integral
@@ -15,18 +21,26 @@ told apart; integer work simply stays on the fast int path.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 Rat = Fraction
+# The scalar fast paths of products test `type(x) in SCALAR_TYPES`: isinstance
+# against Fraction, an ABC, would cost every other product an ABC check.
 SCALAR_TYPES = (int, Fraction)
+# Bits of one exponent field; MAX_DEGREE is the largest value a field holds.
+FIELD = 16
+MAX_DEGREE = (1 << FIELD) - 1
 
-__all__ = ["Rat", "Ring", "SparseSum", "Poly", "ContextMismatchError"]
+__all__ = ["Rat", "Ring", "SparseSum", "Poly", "ContextMismatchError", "MonomialOverflowError"]
 
 
 class ContextMismatchError(ValueError):
     """Operands belong to different ambient rings."""
+
+
+class MonomialOverflowError(ValueError):
+    """A monomial's total degree would exceed MAX_DEGREE."""
 
 
 def _as_rat(value) -> int | Rat:
@@ -42,11 +56,15 @@ def _as_rat(value) -> int | Rat:
 class Ring:
     """Ambient ring Q[u1..um, k, nu1..nun].
 
-    Exponent vectors are flat tuples ordered (u1..um, k, nu1..nun).
-    Rings with equal shape are interchangeable.
+    Exponent vectors are flat tuples ordered (u1..um, k, nu1..nun); `pack`
+    and `unpack` convert them to and from packed monomials, and `shifts[pos]`
+    is the offset of symbol pos's field. Rings with equal shape are
+    interchangeable. `texts` caches the printed form of monomials for
+    printing, and `_plans` caches the derivative plans of `Poly.diff_multi`.
     """
 
-    __slots__ = ("num_vars", "num_nu", "names", "_index")
+    __slots__ = ("num_vars", "num_nu", "names", "_index", "shifts", "degree_shift", "u_mask",
+                 "texts", "_plans")
 
     def __init__(self, num_vars: int, num_nu: int = 0):
         if num_vars < 0 or num_nu < 0:
@@ -59,6 +77,12 @@ class Ring:
             + [f"nu{i}" for i in range(1, num_nu + 1)]
         )
         self._index = {name: pos for pos, name in enumerate(self.names)}
+        width = len(self.names)
+        self.shifts = tuple(FIELD * (width - 1 - pos) for pos in range(width))
+        self.degree_shift = FIELD * width
+        self.u_mask = sum(MAX_DEGREE << shift for shift in self.shifts[:num_vars])
+        self.texts: dict[int, str] = {}
+        self._plans: dict[tuple, tuple] = {}
 
     @property
     def num_symbols(self) -> int:
@@ -83,22 +107,54 @@ class Ring:
         except KeyError:
             raise ValueError(f"unknown symbol {name!r} in {self!r}") from None
 
+    def pack(self, exps) -> int:
+        """The packed monomial of an exponent vector, checked."""
+        if len(exps) != len(self.shifts):
+            raise ValueError(f"exponent vector {exps} has wrong length for {self!r}")
+        if min(exps) < 0:
+            raise ValueError(f"negative exponent in {exps}")
+        key = sum(exps)
+        if key > MAX_DEGREE:
+            raise MonomialOverflowError(
+                f"monomial {exps} of degree {key} exceeds the limit {MAX_DEGREE}"
+            )
+        for e in exps:
+            key = key << FIELD | e
+        return key
+
+    def unpack(self, m: int) -> tuple:
+        """The exponent vector of a packed monomial."""
+        return tuple(m >> shift & MAX_DEGREE for shift in self.shifts)
+
+    def capped_degrees(self, monomials: list, caps) -> tuple:
+        """For each u-variable, the largest exponent over the monomials, read
+        only up to that variable's entry of caps (0 reads nothing)."""
+        top = []
+        for shift, cap in zip(self.shifts, caps):
+            t = 0
+            if cap:
+                for m in monomials:
+                    e = m >> shift & MAX_DEGREE
+                    if e > t:
+                        t = min(e, cap)
+                        if t == cap:
+                            break
+            top.append(t)
+        return tuple(top)
+
     def zero(self) -> Poly:
-        return Poly(self, {})
+        return Poly(self, {}, _trusted=True)
 
     def one(self) -> Poly:
         return self.const(1)
 
     def const(self, value) -> Poly:
         c = _as_rat(value)
-        if not c:
-            return Poly(self, {})
-        return Poly(self, {(0,) * self.num_symbols: c})
+        return Poly(self, {0: c} if c else {}, _trusted=True)
 
     def symbol(self, name: str) -> Poly:
-        exps = [0] * self.num_symbols
-        exps[self.index_of(name)] = 1
-        return Poly(self, {tuple(exps): 1})
+        key = 1 << self.degree_shift | 1 << self.shifts[self.index_of(name)]
+        return Poly(self, {key: 1}, _trusted=True)
 
     def u(self, i: int) -> Poly:
         if not 1 <= i <= self.num_vars:
@@ -119,11 +175,6 @@ class Ring:
         for i in indices:
             total = total + self.u(i)
         return total
-
-
-def grlex_key(exps: tuple) -> tuple:
-    """Graded-lex sort key; sort descending to put leading terms first."""
-    return (sum(exps), exps)
 
 
 class SparseSum:
@@ -177,6 +228,13 @@ class SparseSum:
 
     __radd__ = __add__
 
+    def _scale(self, value):
+        """The element times a rational scalar, coefficient by coefficient."""
+        s = _as_rat(value)
+        if not s:
+            return type(self)(self.ring, {}, _trusted=True)
+        return type(self)(self.ring, {key: c * s for key, c in self.terms.items()}, _trusted=True)
+
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -209,21 +267,19 @@ class Poly(SparseSum):
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: Ring, terms: Mapping[tuple, int | Rat], *, _trusted=False):
+    def __init__(self, ring: Ring, terms: Mapping, *, _trusted=False):
+        """`terms` maps exponent tuples to coefficients, which are checked;
+        with _trusted it is the packed map itself, taken as it is."""
         self.ring = ring
         if _trusted:
             self.terms = terms
             return
         clean = {}
-        width = ring.num_symbols
         for exps, coeff in terms.items():
-            if len(exps) != width:
-                raise ValueError(f"exponent vector {exps} has wrong length for {ring!r}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
+            key = ring.pack(exps)
             c = _as_rat(coeff)
             if c:
-                clean[tuple(exps)] = c
+                clean[key] = c
         self.terms = clean
 
     def _coerce(self, other) -> "Poly | None":
@@ -243,14 +299,28 @@ class Poly(SparseSum):
     __add__ = __radd__ = SparseSum.__add__
 
     def __mul__(self, other):
+        """The product; the key of a term pair is the sum of its monomials.
+
+        Every monomial has at most the degree of its leading term, so one
+        check of the two leading degrees keeps every field of every sum
+        within MAX_DEGREE.
+        """
+        if type(other) in SCALAR_TYPES:
+            return self._scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        a, b = self.terms, other.terms
+        shift = self.ring.degree_shift
+        degree = (max(a, default=0) >> shift) + (max(b, default=0) >> shift)
+        if degree > MAX_DEGREE:
+            raise MonomialOverflowError(
+                f"a product of degree {degree} exceeds the limit {MAX_DEGREE}"
+            )
         out = {}
-        add = operator.add
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = tuple(map(add, m1, m2))
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                key = m1 + m2
                 c = c1 * c2
                 acc = out.get(key)
                 if acc is None:
@@ -280,25 +350,31 @@ class Poly(SparseSum):
         """Iterated derivative; orders[i] applications of d/du_{i+1}.
 
         One pass over the terms: u^e goes to e!/(e-o)! u^(e-o), and to zero
-        when e < o. Distinct monomials stay distinct, so nothing merges.
+        when e < o. Distinct monomials stay distinct, so nothing merges. The
+        ring caches each orders tuple's fields and the packed amount that
+        every surviving monomial loses.
         """
-        if any(orders[self.ring.num_vars :]):
-            raise ValueError(f"derivative orders {orders} name a parameter of {self.ring!r}")
-        active = [(pos, o) for pos, o in enumerate(orders) if o]
-        if not active:
+        ring = self.ring
+        plan = ring._plans.get(orders)
+        if plan is None:
+            if any(orders[ring.num_vars :]):
+                raise ValueError(f"derivative orders {orders} name a parameter of {ring!r}")
+            steps = tuple((ring.shifts[pos], o) for pos, o in enumerate(orders) if o)
+            drop = sum(o << shift for shift, o in steps) + (sum(orders) << ring.degree_shift)
+            plan = ring._plans[orders] = (steps, drop)
+        steps, drop = plan
+        if not steps:
             return self
         out = {}
         for m, c in self.terms.items():
-            key = list(m)
-            for pos, o in active:
-                e = m[pos]
+            for shift, o in steps:
+                e = m >> shift & MAX_DEGREE
                 if e < o:
                     break
                 c = c * math.perm(e, o)
-                key[pos] = e - o
             else:
-                out[tuple(key)] = c
-        return Poly(self.ring, out, _trusted=True)
+                out[m - drop] = c
+        return Poly(ring, out, _trusted=True)
 
     def subs(self, assignment: Mapping[str, object]) -> "Poly":
         """Substitute rational values for symbols named in the assignment.
@@ -307,21 +383,20 @@ class Poly(SparseSum):
         """
         if not assignment:
             return self
-        positions = {}
-        for name, value in assignment.items():
-            positions[self.ring.index_of(name)] = _as_rat(value)
+        ring = self.ring
+        steps = [(ring.shifts[ring.index_of(name)], _as_rat(v)) for name, v in assignment.items()]
+        degree_shift = ring.degree_shift
         out = {}
         for m, c in self.terms.items():
             scale = c
-            new = list(m)
-            for pos, value in positions.items():
-                e = m[pos]
+            key = m
+            for shift, value in steps:
+                e = m >> shift & MAX_DEGREE
                 if e:
                     scale = scale * value**e
-                    new[pos] = 0
+                    key -= (e << shift) + (e << degree_shift)
             if not scale:
                 continue
-            key = tuple(new)
             acc = out.get(key)
             if acc is None:
                 out[key] = scale
@@ -331,26 +406,22 @@ class Poly(SparseSum):
                     out[key] = acc
                 else:
                     del out[key]
-        return Poly(self.ring, out, _trusted=True)
+        return Poly(ring, out, _trusted=True)
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(m) for m in self.terms)
+        return max(self.terms) >> self.ring.degree_shift if self.terms else 0
 
     def u_degree(self) -> int:
         """Largest total degree in the u-variables alone."""
-        if not self.terms:
-            return 0
-        nv = self.ring.num_vars
-        return max(sum(m[:nv]) for m in self.terms)
+        shifts = self.ring.shifts[: self.ring.num_vars]
+        return max((sum(m >> s & MAX_DEGREE for s in shifts) for m in self.terms), default=0)
 
     def is_u_free(self) -> bool:
-        nv = self.ring.num_vars
-        return all(not any(m[:nv]) for m in self.terms)
+        mask = self.ring.u_mask
+        return not any(m & mask for m in self.terms)
 
     def is_constant(self) -> bool:
-        return all(not any(m) for m in self.terms)
+        return not any(self.terms)
 
     def constant_value(self) -> int | Rat:
         """Rational value of a constant polynomial."""
@@ -362,7 +433,7 @@ class Poly(SparseSum):
 
     def sorted_terms(self):
         """Terms in decreasing graded-lex order, for printing and reports."""
-        return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]), reverse=True)
+        return sorted(self.terms.items(), reverse=True)
 
     def __repr__(self):
         from .printing import format_poly

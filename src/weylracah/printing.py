@@ -7,7 +7,7 @@ derivative in u2.
 
 from __future__ import annotations
 
-from .poly import Poly, grlex_key
+from .poly import Poly
 from .weyl import WeylOp
 
 __all__ = ["print_canonical", "format_poly"]
@@ -17,27 +17,27 @@ def _power(name: str, exp: int) -> str:
     return name if exp == 1 else f"{name}^{exp}"
 
 
-def _term_body(ring, coeff, monomial, alpha) -> str:
-    factors = []
-    nv = ring.num_vars
-    for pos, exp in enumerate(monomial):
-        if exp:
-            factors.append(_power(ring.names[pos], exp))
-    for pos, exp in enumerate(alpha):
-        if exp:
-            factors.append(_power(f"d{pos + 1}", exp))
-    magnitude = abs(coeff)
-    if magnitude != 1 or not factors:
-        factors.insert(0, str(magnitude))
-    return " ".join(factors)
+def _monomial_text(ring, monomial: int) -> str:
+    """The factors of a packed monomial, "" for 1; cached in `ring.texts`."""
+    text = ring.texts.get(monomial)
+    if text is None:
+        exps = ring.unpack(monomial)
+        text = " ".join(_power(name, exp) for name, exp in zip(ring.names, exps) if exp)
+        ring.texts[monomial] = text
+    return text
 
 
 def _render(ring, flat_terms) -> str:
+    """Text of (coeff, monomial, derivative text) triples in order."""
     if not flat_terms:
         return "0"
     pieces = []
-    for index, (coeff, monomial, alpha) in enumerate(flat_terms):
-        body = _term_body(ring, coeff, monomial, alpha)
+    for index, (coeff, monomial, derivative) in enumerate(flat_terms):
+        factors = [text for text in (_monomial_text(ring, monomial), derivative) if text]
+        magnitude = abs(coeff)
+        if magnitude != 1 or not factors:
+            factors.insert(0, str(magnitude))
+        body = " ".join(factors)
         if index == 0:
             pieces.append(f"-{body}" if coeff < 0 else body)
         else:
@@ -48,13 +48,12 @@ def _render(ring, flat_terms) -> str:
 def print_canonical(op: WeylOp) -> str:
     """Normal form of an operator, one flat term per rational coefficient."""
     flat = []
-    for alpha in sorted(op.terms, key=grlex_key, reverse=True):
+    for alpha in sorted(op.terms, key=lambda a: (sum(a), a), reverse=True):
+        derivative = " ".join(_power(f"d{pos + 1}", exp) for pos, exp in enumerate(alpha) if exp)
         for monomial, coeff in op.terms[alpha].sorted_terms():
-            flat.append((coeff, monomial, alpha))
+            flat.append((coeff, monomial, derivative))
     return _render(op.ring, flat)
 
 
 def format_poly(p: Poly) -> str:
-    none = (0,) * p.ring.num_vars
-    flat = [(coeff, monomial, none) for monomial, coeff in p.sorted_terms()]
-    return _render(p.ring, flat)
+    return _render(p.ring, [(coeff, monomial, "") for monomial, coeff in p.sorted_terms()])

@@ -28,6 +28,9 @@ class LeakageError(Exception):
 
 @dataclass(frozen=True)
 class PiBasis:
+    """The basis monomials as exponent tuples, and `index` from each one's
+    packed monomial to its position, in position order."""
+
     ring: Ring
     degree: int
     monomials: tuple
@@ -38,7 +41,7 @@ class PiBasis:
         return len(self.monomials)
 
     def monomial_poly(self, position: int) -> Poly:
-        return Poly(self.ring, {self.monomials[position]: 1}, _trusted=True)
+        return Poly(self.ring, {self.monomials[position]: 1})
 
 
 def basis(ring: Ring, degree: int) -> PiBasis:
@@ -63,7 +66,7 @@ def basis(ring: Ring, degree: int) -> PiBasis:
         if sum(exps) <= degree
     ]
     monos.sort(key=lambda t: (sum(t), tuple(-e for e in t)))
-    return PiBasis(ring, degree, tuple(monos), {mono: i for i, mono in enumerate(monos)})
+    return PiBasis(ring, degree, tuple(monos), {ring.pack(mono): i for i, mono in enumerate(monos)})
 
 
 class OpMatrix(SparseSum):
@@ -169,11 +172,12 @@ def to_matrix(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> OpMa
     numeric = op.subs(values)
     entries = {}
     nv = op.ring.num_vars
-    for col in range(pi.size):
-        image = numeric.apply(pi.monomial_poly(col))
-        for exps, coeff in image.terms.items():
-            row = pi.index.get(exps)
+    for col, key in enumerate(pi.index):
+        image = numeric.apply(Poly(op.ring, {key: 1}, _trusted=True))
+        for monomial, coeff in image.terms.items():
+            row = pi.index.get(monomial)
             if row is None:
+                exps = op.ring.unpack(monomial)
                 raise LeakageError(
                     f"image of basis monomial {pi.monomials[col]} contains "
                     f"degree {sum(exps[:nv])} term {exps}, bound is {pi.degree}"

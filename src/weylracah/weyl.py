@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 from typing import Mapping
 
 from .poly import SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum
@@ -109,6 +109,8 @@ class WeylOp(SparseSum):
 
     def __mul__(self, other):
         """Normal-ordered composition self after other."""
+        if type(other) in SCALAR_TYPES:
+            return self._scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -116,16 +118,19 @@ class WeylOp(SparseSum):
         self._leibniz(other, out, 0)
         return WeylOp(self.ring, out, _trusted=True)
 
-    def _u_degrees(self) -> tuple:
-        """The largest exponent of each u-variable over all coefficients."""
+    def _u_degrees(self, left: "WeylOp") -> tuple:
+        """The largest exponent of each u-variable over all coefficients,
+        read only up to the highest order in which `left` differentiates that
+        variable: composing left after self goes no deeper, so
+        min(alpha_i, top_i) is the same for every alpha of left."""
         monomials = [m for q in self.terms.values() for m in q.terms]
-        return tuple(map(max, islice(zip(*monomials), self.ring.num_vars)))
+        return self.ring.capped_degrees(monomials, map(max, zip(*left.terms)))
 
     def product_work(self, other: "WeylOp", start: int = 0) -> int:
         """Coefficient term pairs that `_leibniz(other, out, start)` can form:
         each term of self meets each term of other once per gamma of its
         Leibniz expansion, leaving out gamma = 0 when start is 1."""
-        top = other._u_degrees()
+        top = other._u_degrees(self)
         size = sum(len(q.terms) for q in other.terms.values())
         return size * sum(
             len(p.terms) * (math.prod(min(a, t) + 1 for a, t in zip(alpha, top)) - start)
@@ -141,7 +146,7 @@ class WeylOp(SparseSum):
         """
         deriv_cache: dict[tuple, Poly] = {}
         b_items = list(other.terms.items())
-        top = other._u_degrees()
+        top = other._u_degrees(self)
         for alpha, p in self.terms.items():
             expansions = _lower_exponents(alpha, top)[start:]
             if not expansions:
@@ -173,6 +178,8 @@ class WeylOp(SparseSum):
                             del out[exp]
 
     def __rmul__(self, other):
+        if type(other) in SCALAR_TYPES:
+            return self._scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented

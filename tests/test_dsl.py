@@ -292,10 +292,14 @@ def test_product_work_limit(monkeypatch, capsys):
 
 
 def test_commute_work_limit(monkeypatch, capsys):
-    # both products of the commutator count against the limit; over it the
-    # commutator is never composed
+    # both products of the commutator count against the request's one
+    # budget, after the 6 + 54 pairs of the two factors of the right side's
+    # square; over it the commutator is never composed
     argv = ["commute", "--n", "5", "--lhs", "C[1,2]", "--rhs", "(u1+u2+u3+d1+d2+d3)^2"]
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 1628)
+    rc5 = RacahContext(5)
+    lhs, rhs = run("C[1,2]", rc5), run("(u1+u2+u3+d1+d2+d3)^2", rc5)
+    assert lhs.product_work(rhs, 1) + rhs.product_work(lhs, 1) == 1628
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 60 + 1628)
     assert run_cli(argv) == 0
     assert capsys.readouterr().out.strip()
 
@@ -303,13 +307,31 @@ def test_commute_work_limit(monkeypatch, capsys):
         raise AssertionError("over-limit commutator composed")
 
     monkeypatch.setattr(WeylOp, "commutator", refuse)
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 1627)
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 60 + 1627)
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: a commutator of 1628 coefficient term pairs exceeds the limit 1627\n"
+        "error: a commute request of 1688 coefficient term pairs exceeds the limit 1687\n"
     )
+
+
+def test_commute_sides_share_the_budget(monkeypatch, capsys):
+    # the left side costs 3 + 9 term pairs, the right 2 + 4 + 3 + 9, and the
+    # commutator of two u-free operators none: either side fits the limit,
+    # the two together do not, refused at the third product of the right side
+    argv = ["commute", "--n", "5", "--lhs", "(d1+d2+d3)^2", "--rhs", "(d1-d2)^2 + (d1+d2+d3)^2"]
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 20)
+    for side in argv[4], argv[6]:
+        assert run_cli(["normalize", "--n", "5", "--expr", side]) == 0
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: an expression of 21 coefficient term pairs exceeds the limit 20\n"
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 30)
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_commute_work_skips_cancelling_terms(monkeypatch, capsys):

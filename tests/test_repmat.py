@@ -233,9 +233,12 @@ def test_to_matrix_matches_column_images():
     values = fixed_assignment(4, 2)
     for i, j in combinations(range(1, 5), 2):
         numeric = rc.c_pair(i, j).subs(values)
-        images = [numeric.apply(pi.monomial_poly(col)) for col in range(pi.size)]
-        assert all(set(image.terms) <= set(pi.monomials) for image in images)
-        rows = [[image.terms.get(mono, 0) for image in images] for mono in pi.monomials]
+        images = [
+            {rc.ring.unpack(m): c for m, c in numeric.apply(pi.monomial_poly(col)).terms.items()}
+            for col in range(pi.size)
+        ]
+        assert all(set(image) <= set(pi.monomials) for image in images)
+        rows = [[image.get(mono, 0) for image in images] for mono in pi.monomials]
         assert to_matrix(rc.c_pair(i, j), pi, values).rows == rows, (i, j)
 
 
