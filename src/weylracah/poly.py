@@ -201,7 +201,7 @@ class SparseSum:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self.ring is other.ring or self.ring == other.ring) and self.terms == other.terms
 
     def __neg__(self):
         return type(self)(self.ring, {key: -c for key, c in self.terms.items()}, _trusted=True)
@@ -284,7 +284,7 @@ class Poly(SparseSum):
 
     def _coerce(self, other) -> "Poly | None":
         if isinstance(other, Poly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ContextMismatchError(f"{self.ring!r} vs {other.ring!r}")
             return other
         if isinstance(other, SCALAR_TYPES):

@@ -96,11 +96,11 @@ class WeylOp(SparseSum):
 
     def _coerce(self, other) -> "WeylOp | None":
         if isinstance(other, WeylOp):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ContextMismatchError(f"{self.ring!r} vs {other.ring!r}")
             return other
         if isinstance(other, Poly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ContextMismatchError(f"{self.ring!r} vs {other.ring!r}")
             return WeylOp.from_poly(other)
         if isinstance(other, SCALAR_TYPES):

@@ -194,6 +194,24 @@ def test_module_invocation_subprocess():
     assert proc.stdout.strip() == "-2 u1 d1 + k"
 
 
+def test_broken_pipe_exits_quietly():
+    # the reader closes stdout before the child prints the commutator
+    package_root = os.path.dirname(os.path.dirname(weylracah.__file__))
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weylracah", "commute", "--n", "5", "--lhs", "C[1,2]",
+         "--rhs", "(u1+u2+u3+d1+d2+d3)^2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in stderr, stderr
+
+
 def test_verification_failure_exit_code(capsys, monkeypatch):
     # corrupt one embedding coefficient: the suite must exit nonzero
     import weylracah.embed as embed_mod

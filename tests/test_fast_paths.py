@@ -1,7 +1,8 @@
 """Fast paths of the arithmetic core, cross-checked against the direct path.
 
-Coefficients are ints wherever they are integral, and `WeylOp.commutator`
-composes both orders without the Leibniz terms that cancel. Each test here
+Coefficients are ints wherever they are integral, `WeylOp.commutator`
+composes both orders without the Leibniz terms that cancel, and the racah
+suite reads [C_A, C_B] from a table of pair commutators. Each test here
 compares one of these against the plain definition.
 """
 
@@ -11,7 +12,15 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_weyl
-from weylracah import Poly, RacahContext, Ring, SlElement, WeylOp, print_canonical
+from weylracah import (
+    Poly,
+    RacahContext,
+    Ring,
+    SlElement,
+    WeylOp,
+    check_racah_structure,
+    print_canonical,
+)
 from weylracah.sln import euler_tree, nonempty_subsets
 
 
@@ -104,3 +113,40 @@ def test_int_coefficients_match_fraction_reference(rc5):
             assert fast == reference
             assert print_canonical(fast) == print_canonical(reference)
             assert all(hash(p) == hash(reference.terms[alpha]) for alpha, p in fast.terms.items())
+
+
+def racah_rows(ctx: RacahContext, direct: bool) -> list[tuple]:
+    """The racah report of ctx as (id, lhs, rhs, equal) rows; the direct
+    path commutes the two subset Casimirs of each check in full."""
+    if direct:
+        ctx.set_commutator = lambda A, B: ctx.c_set(A).commutator(ctx.c_set(B))
+    return [(c.id, c.lhs, c.rhs, c.equal) for c in check_racah_structure(ctx).checks]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_racah_table_matches_direct_path(n):
+    assert racah_rows(RacahContext(n), False) == racah_rows(RacahContext(n), True)
+
+
+def test_perturbed_pair_fails_the_same_checks_on_both_paths():
+    # u1 d1 added to C_13 at n=4 breaks the cyclic triples through (1, 3):
+    # those entries fall back to the table's own operators
+    rows, contexts = {}, {}
+    for direct in (False, True):
+        ctx = contexts[direct] = RacahContext(4)
+        u1_d1 = WeylOp.from_poly(ctx.ring.u(1)) * WeylOp.partial(ctx.ring, 1)
+        ctx._pairs[(1, 3)] = (ctx.c_pair_lead(1, 3), ctx.c_pair(1, 3) + u1_d1)
+        rows[direct] = racah_rows(ctx, direct)
+    assert rows[False] == rows[True]
+    assert any(not equal for _, _, _, equal in rows[False])
+    assert False in contexts[False]._cyclic.values()
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_singleton_casimirs_are_u_free_multipliers(n):
+    # the premise of the table: c_single(i) commutes with every operator
+    ctx = RacahContext(n)
+    for i in range(1, n + 1):
+        op = ctx.c_single(i)
+        assert list(op.terms) == [(0,) * ctx.ring.num_vars]
+        assert op.terms[(0,) * ctx.ring.num_vars].is_u_free()

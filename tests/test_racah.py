@@ -1,6 +1,8 @@
 """Racah realization: Casimir families, subset assembly, commutation."""
 
 import random
+import re
+from itertools import combinations
 
 import pytest
 
@@ -140,6 +142,10 @@ def test_structure_suite_small():
 
 
 def test_failing_casimir_build_fails_only_its_checks(monkeypatch):
+    # each check sums the pair-commutator entries [C_p, C_q] over the pairs
+    # p of A and q of B (p != q), so it fails exactly when one of them has
+    # the pair (2, 4); a triple's certification reads that pair's entries too,
+    # but only for checks that read one of them directly
     original = RacahContext.c_set
 
     def broken(self, A):
@@ -150,9 +156,16 @@ def test_failing_casimir_build_fails_only_its_checks(monkeypatch):
     monkeypatch.setattr(RacahContext, "c_set", broken)
     report = check_racah_structure(RacahContext(4))
     assert len(report.checks) == 90
-    failed = [c.id for c in report.checks if not c.equal]
-    assert failed == [c.id for c in report.checks if "{2, 4}" in c.id]
-    assert len(failed) == 9
+    failed = [c for c in report.checks if not c.equal]
+    assert all(c.lhs == "RuntimeError: no Casimir" for c in failed)
+
+    def reads_2_4(check_id):
+        A, B = (tuple(map(int, re.findall(r"\d+", side))) for side in check_id.split("|"))
+        return any((2, 4) in (p, q) for p in combinations(A, 2) for q in combinations(B, 2) if p != q)
+
+    expected = [c.id for c in report.checks if reads_2_4(c.id)]
+    assert [c.id for c in failed] == expected
+    assert 0 < len(expected) < 90
 
 
 def test_disjoint_commutator_example():
