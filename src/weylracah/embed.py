@@ -42,13 +42,20 @@ def eval_tree(ctx: RacahContext, node) -> WeylOp:
 
 def eval_tree_matrix(ctx: RacahContext, node, basis, assignment, cache=None):
     """Evaluate the provenance tree in the exact matrix model: generator
-    leaves become their matrices on the bounded-degree basis, memoised in
-    `cache`, and products become matrix products."""
-    backend = TreeBackend(
-        lambda op: to_matrix(op, basis, assignment),
-        lambda p: OpMatrix.scalar(basis.size, p.subs(assignment).constant_value()),
-        operator.matmul,
-    )
+    leaves become their matrices on the bounded-degree basis and scalar
+    leaves scalar matrices, both memoised in `cache`, and products become
+    matrix products."""
+    if cache is None:
+        cache = {}
+
+    def scalar(p: Poly) -> OpMatrix:
+        key = ("scalar", p)
+        mat = cache.get(key)
+        if mat is None:
+            mat = cache[key] = OpMatrix.scalar(basis.size, p.subs(assignment).constant_value())
+        return mat
+
+    backend = TreeBackend(lambda op: to_matrix(op, basis, assignment), scalar, operator.matmul)
     return evaluate(node, ctx.dm, backend, cache)
 
 

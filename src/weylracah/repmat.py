@@ -40,9 +40,6 @@ class PiBasis:
     def size(self) -> int:
         return len(self.monomials)
 
-    def monomial_poly(self, position: int) -> Poly:
-        return Poly(self.ring, {self.monomials[position]: 1})
-
 
 def basis(ring: Ring, degree: int) -> PiBasis:
     """All monomials in the u variables of total degree <= degree.
@@ -69,11 +66,47 @@ def basis(ring: Ring, degree: int) -> PiBasis:
     return PiBasis(ring, degree, tuple(monos), {ring.pack(mono): i for i, mono in enumerate(monos)})
 
 
+def _integer_form(terms: Mapping[tuple, Rat]) -> tuple[int, dict[tuple, int]]:
+    """(d, scaled) with terms = scaled / d entrywise: d is the lcm of the
+    entries' denominators and every entry of scaled is an int."""
+    d = math.lcm(*{c.denominator for c in terms.values() if type(c) is not int})
+    return d, {
+        key: c * d if type(c) is int else c.numerator * (d // c.denominator)
+        for key, c in terms.items()
+    }
+
+
+def _int_product(left: Mapping[tuple, int], right: Mapping[tuple, int]) -> dict[tuple, int]:
+    """The product of two integer matrices given as position maps; entries
+    that cancel stay in the result as zeros."""
+    by_row: dict[int, list] = {}
+    for (p, q), b in right.items():
+        by_row.setdefault(p, []).append((q, b))
+    out: dict[tuple, int] = {}
+    for (i, p), a in left.items():
+        for q, b in by_row.get(p, ()):
+            out[(i, q)] = out.get((i, q), 0) + a * b
+    return out
+
+
+def _divide(scaled: Mapping[tuple, int], d: int) -> dict[tuple, int | Rat]:
+    """The nonzero entries of scaled / d: an int where the division is exact,
+    a reduced Fraction otherwise."""
+    out = {}
+    for key, c in scaled.items():
+        if c:
+            q, r = divmod(c, d)
+            out[key] = Rat(c, d) if r else q
+    return out
+
+
 class OpMatrix(SparseSum):
     """Square matrix of exact rationals, stored as its nonzero entries.
 
     `terms` maps (row, col), both 0-based, to nonzero values and `ring` is
-    the size; sums and equality come from SparseSum.
+    the size; sums and equality come from SparseSum. Products and
+    commutators run on integers: each operand is scaled once by the lcm of
+    its denominators, and only nonzero results are divided back.
     """
 
     __slots__ = ("ring", "terms")
@@ -105,7 +138,7 @@ class OpMatrix(SparseSum):
     @staticmethod
     def scalar(size: int, value) -> "OpMatrix":
         v = _as_rat(value)
-        return OpMatrix(size, {(i, i): v for i in range(size)})
+        return OpMatrix(size, {(i, i): v for i in range(size)} if v else {}, _trusted=True)
 
     @property
     def rows(self) -> list[list[Rat]]:
@@ -123,17 +156,23 @@ class OpMatrix(SparseSum):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        by_row: dict[int, list] = {}
-        for (p, q), b in other.terms.items():
-            by_row.setdefault(p, []).append((q, b))
-        out: dict[tuple, Rat] = {}
-        for (i, p), a in self.terms.items():
-            for q, b in by_row.get(p, ()):
-                out[(i, q)] = out.get((i, q), 0) + a * b
-        return OpMatrix(self.ring, {key: c for key, c in out.items() if c}, _trusted=True)
+        da, a = _integer_form(self.terms)
+        db, b = _integer_form(other.terms)
+        return OpMatrix(self.ring, _divide(_int_product(a, b), da * db), _trusted=True)
 
     def commutator(self, other: "OpMatrix") -> "OpMatrix":
-        return self @ other - other @ self
+        """self @ other - other @ self, with the difference taken in integers,
+        so a zero commutator builds no Fraction."""
+        if self._coerce(other) is None:
+            raise TypeError(
+                f"unsupported operand type(s) for commutator: 'OpMatrix' and '{type(other).__name__}'"
+            )
+        da, a = _integer_form(self.terms)
+        db, b = _integer_form(other.terms)
+        out = _int_product(a, b)
+        for key, c in _int_product(b, a).items():
+            out[key] = out.get(key, 0) - c
+        return OpMatrix(self.ring, _divide(out, da * db), _trusted=True)
 
     def dump(self) -> str:
         """Row-major text form, entries as exact p/q strings."""

@@ -68,3 +68,8 @@ def random_nu_values(rng: random.Random, n: int) -> dict:
         f"nu{i}": Rat(rng.randint(1, 9), rng.choice((1, 2, 3, 4)))
         for i in range(1, n + 1)
     }
+
+
+def monomial_poly(pi, position: int) -> Poly:
+    """Basis monomial number `position` of a PiBasis, as a polynomial."""
+    return Poly(pi.ring, {pi.monomials[position]: 1})

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import random_invariant_op, random_nu_values, random_rational
+from helpers import monomial_poly, random_invariant_op, random_nu_values, random_rational
 from weylracah import (
     LeakageError,
     OpMatrix,
@@ -225,6 +225,90 @@ def test_sparse_matrix_matches_dense_arithmetic():
                 ma + OpMatrix.zero(size + 1)
 
 
+def int_exactly_when_integral(mat) -> bool:
+    return all((type(e) is int) == (Rat(e).denominator == 1) for e in mat.terms.values())
+
+
+def test_kernel_entries_are_int_exactly_when_integral():
+    rng = random.Random(2718)
+    half, two = OpMatrix.scalar(3, Rat(1, 2)), OpMatrix.scalar(3, 2)
+    assert type((half @ two).terms[(0, 0)]) is int
+    skew = from_rows([[Rat(1, 2), Rat(1, 3)], [Rat(3, 2), 0]])
+    shift = from_rows([[0, 6], [0, 0]])
+    # [skew, shift] = [[-9, 3], [0, 9]]: integral although skew is not
+    assert skew.commutator(shift).rows == [[-9, 3], [0, 9]]
+    assert int_exactly_when_integral(skew.commutator(shift))
+    for size in range(1, 6):
+        for _ in range(10):
+            a, b = from_rows(random_rows(rng, size)), from_rows(random_rows(rng, size))
+            for mat in (a @ b, b @ a, a.commutator(b), a @ OpMatrix.identity(size)):
+                assert int_exactly_when_integral(mat)
+
+
+def test_kernel_large_coprime_denominators():
+    # primes above 2**61: the scaled entries and their products leave the
+    # machine-word range and must stay exact
+    p, q, r = 2305843009213693967, 2305843009213693973, 18446744073709551629
+    a = [[Rat(1, p), Rat(-3, q), 0], [Rat(5, r), 0, Rat(p, q)], [7, Rat(1, p * q), Rat(-2, r)]]
+    b = [[Rat(q, p), 0, Rat(1, r)], [0, Rat(-1, q), 4], [Rat(r, p), Rat(2, 3), Rat(1, p)]]
+    ma, mb = from_rows(a), from_rows(b)
+    sub = lambda x, y: x - y
+    assert (ma @ mb).rows == dense_product(a, b)
+    assert (mb @ ma).rows == dense_product(b, a)
+    assert ma.commutator(mb).rows == entrywise(sub, dense_product(a, b), dense_product(b, a))
+    assert ma.commutator(ma).is_zero()
+    assert int_exactly_when_integral(ma @ mb) and int_exactly_when_integral(ma.commutator(mb))
+
+
+def test_kernel_empty_and_zero_operands():
+    empty = OpMatrix.zero(0)
+    assert (empty @ empty).terms == {} and empty.commutator(empty).is_zero()
+    assert empty.rows == [] and empty.dump() == ""
+    rng = random.Random(99)
+    a = from_rows(random_rows(rng, 4))
+    zero = OpMatrix.zero(4)
+    assert (a @ zero).is_zero() and (zero @ a).is_zero()
+    assert a.commutator(zero).is_zero() and zero.commutator(a).is_zero()
+    assert a.commutator(OpMatrix.scalar(4, Rat(5, 7))).is_zero()
+    assert OpMatrix.scalar(4, 0).terms == {}
+    assert OpMatrix.scalar(2, Rat(6, 3)).terms == {(0, 0): 2, (1, 1): 2}
+
+
+def test_kernel_operand_errors():
+    eye = OpMatrix.identity(2)
+    with pytest.raises(TypeError):
+        eye @ 2
+    with pytest.raises(TypeError):
+        eye.commutator(2)
+    with pytest.raises(TypeError):
+        eye.commutator([[1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        eye.commutator(OpMatrix.identity(3))
+
+
+def test_casimir_matrix_commutators_match_dense():
+    # real operators under rational nu, two commuting pairs of subsets and
+    # one non-commuting pair, against the dense Fraction reference
+    rc = RacahContext(4)
+    pi = basis(rc.ring, 2)
+    values = fixed_assignment(4, 2)
+    sub = lambda x, y: x - y
+    for a_set, b_set, commute in (
+        ((1, 2), (3, 4), True),
+        ((1, 2), (1, 2, 3), True),
+        ((1, 2), (2, 3), False),
+    ):
+        ma, mb = to_matrix(rc.c_set(a_set), pi, values), to_matrix(rc.c_set(b_set), pi, values)
+        a, b = ma.rows, mb.rows
+        ab, ba = dense_product(a, b), dense_product(b, a)
+        com = ma.commutator(mb)
+        assert (ma @ mb).rows == ab and (mb @ ma).rows == ba
+        assert com.rows == entrywise(sub, ab, ba), (a_set, b_set)
+        assert com.is_zero() == commute, (a_set, b_set)
+        assert int_exactly_when_integral(com)
+        assert com == to_matrix(rc.c_set(a_set).commutator(rc.c_set(b_set)), pi, values)
+
+
 def test_to_matrix_matches_column_images():
     # column j holds the image of basis monomial j, computed here one column
     # at a time
@@ -234,7 +318,7 @@ def test_to_matrix_matches_column_images():
     for i, j in combinations(range(1, 5), 2):
         numeric = rc.c_pair(i, j).subs(values)
         images = [
-            {rc.ring.unpack(m): c for m, c in numeric.apply(pi.monomial_poly(col)).terms.items()}
+            {rc.ring.unpack(m): c for m, c in numeric.apply(monomial_poly(pi, col)).terms.items()}
             for col in range(pi.size)
         ]
         assert all(set(image) <= set(pi.monomials) for image in images)
