@@ -43,8 +43,9 @@ def eval_tree(ctx: RacahContext, node) -> WeylOp:
 def eval_tree_matrix(ctx: RacahContext, node, basis, assignment, cache=None):
     """Evaluate the provenance tree in the exact matrix model: generator
     leaves become their matrices on the bounded-degree basis and scalar
-    leaves scalar matrices, both memoised in `cache`, and products become
-    matrix products."""
+    leaves scalar matrices, and products become matrix products. All three
+    are memoised in `cache`, products keyed by their node, so trees
+    evaluated through one cache form each shared product once."""
     if cache is None:
         cache = {}
 

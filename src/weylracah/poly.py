@@ -84,10 +84,6 @@ class Ring:
         self.texts: dict[int, str] = {}
         self._plans: dict[tuple, tuple] = {}
 
-    @property
-    def num_symbols(self) -> int:
-        return self.num_vars + 1 + self.num_nu
-
     def __eq__(self, other):
         return (
             isinstance(other, Ring)
@@ -335,17 +331,6 @@ class Poly(SparseSum):
 
     __rmul__ = __mul__
 
-    def diff(self, var_index: int) -> "Poly":
-        """Formal partial derivative with respect to u_{var_index} (1-based).
-
-        Parameters k and nu are constants, so only u-variables admit a
-        derivative.
-        """
-        nv = self.ring.num_vars
-        if not 1 <= var_index <= nv:
-            raise ValueError(f"derivative index {var_index} out of range 1..{nv}")
-        return self.diff_multi(tuple(int(pos == var_index - 1) for pos in range(nv)))
-
     def diff_multi(self, orders: tuple) -> "Poly":
         """Iterated derivative; orders[i] applications of d/du_{i+1}.
 
@@ -380,6 +365,7 @@ class Poly(SparseSum):
         """Substitute rational values for symbols named in the assignment.
 
         Unassigned symbols stay formal; keys must name symbols of the ring.
+        A coefficient that multiplies out to an integer is stored as an int.
         """
         if not assignment:
             return self
@@ -406,15 +392,10 @@ class Poly(SparseSum):
                     out[key] = acc
                 else:
                     del out[key]
+        for key, c in out.items():
+            if type(c) is not int and c.denominator == 1:
+                out[key] = c.numerator
         return Poly(ring, out, _trusted=True)
-
-    def total_degree(self) -> int:
-        return max(self.terms) >> self.ring.degree_shift if self.terms else 0
-
-    def u_degree(self) -> int:
-        """Largest total degree in the u-variables alone."""
-        shifts = self.ring.shifts[: self.ring.num_vars]
-        return max((sum(m >> s & MAX_DEGREE for s in shifts) for m in self.terms), default=0)
 
     def is_u_free(self) -> bool:
         mask = self.ring.u_mask

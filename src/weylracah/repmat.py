@@ -204,25 +204,38 @@ def _full_assignment(ring: Ring, pi: PiBasis, assignment: Mapping[str, object]) 
 def to_matrix(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> OpMatrix:
     """Exact matrix of the operator action; column j is the image of
     basis monomial j. Raises LeakageError when an image exceeds the degree
-    bound."""
-    if op.ring != pi.ring:
+    bound.
+
+    The substituted operator is scaled once to int coefficients by the lcm
+    d of their denominators, applied on ints, and each entry divided back.
+    """
+    ring = op.ring
+    if ring != pi.ring:
         raise ValueError("operator and basis rings differ")
-    values = _full_assignment(op.ring, pi, assignment)
-    numeric = op.subs(values)
+    numeric = op.subs(_full_assignment(ring, pi, assignment))
+    d, flat = _integer_form(
+        {(alpha, m): c for alpha, p in numeric.terms.items() for m, c in p.terms.items()}
+    )
+    scaled: dict[tuple, dict] = {}
+    for (alpha, m), c in flat.items():
+        scaled.setdefault(alpha, {})[m] = c
+    numeric = WeylOp(
+        ring, {a: Poly(ring, t, _trusted=True) for a, t in scaled.items()}, _trusted=True
+    )
     entries = {}
-    nv = op.ring.num_vars
+    nv = ring.num_vars
     for col, key in enumerate(pi.index):
-        image = numeric.apply(Poly(op.ring, {key: 1}, _trusted=True))
+        image = numeric.apply(Poly(ring, {key: 1}, _trusted=True))
         for monomial, coeff in image.terms.items():
             row = pi.index.get(monomial)
             if row is None:
-                exps = op.ring.unpack(monomial)
+                exps = ring.unpack(monomial)
                 raise LeakageError(
                     f"image of basis monomial {pi.monomials[col]} contains "
                     f"degree {sum(exps[:nv])} term {exps}, bound is {pi.degree}"
                 )
             entries[(row, col)] = coeff
-    return OpMatrix(pi.size, entries, _trusted=True)
+    return OpMatrix(pi.size, _divide(entries, d), _trusted=True)
 
 
 def mat_check_identity(

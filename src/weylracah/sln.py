@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .poly import Poly, Rat, Ring, SparseSum, _as_rat
 from .report import Report, timed_check
@@ -137,11 +137,6 @@ class SlElement(SparseSum):
             elif i < m:
                 terms[("H", i)] = c
         return SlElement(m, terms)
-
-    @staticmethod
-    def from_matrix(m: int, mat: Sequence[Sequence[Rat]]) -> "SlElement":
-        entries = {(i + 1, j + 1): mat[i][j] for i in range(m) for j in range(m)}
-        return SlElement._from_entries(m, entries)
 
     def bracket(self, other: "SlElement") -> "SlElement":
         """Lie bracket XY - YX by matrix units: E_ij E_kl = delta_jk E_il."""
@@ -289,7 +284,14 @@ SYMBOLIC = TreeBackend(lambda op: op, WeylOp.from_poly, operator.mul)
 
 def evaluate(tree, dm: DmContext, backend: TreeBackend = SYMBOLIC, leaves: dict | None = None):
     """Value of a provenance tree; generator and Euler leaves are memoised
-    in `leaves`, which may be shared between calls with the same backend."""
+    in `leaves`, which may be shared between calls with the same backend.
+
+    A caller that passes `leaves` also gets every product node memoised
+    there, keyed by the node, so a product shared by several trees is
+    formed once; a product that raises memoises nothing. Without `leaves`
+    only the leaves are memoised, and no node is hashed.
+    """
+    memo_products = leaves is not None
     if leaves is None:
         leaves = {}
 
@@ -297,7 +299,12 @@ def evaluate(tree, dm: DmContext, backend: TreeBackend = SYMBOLIC, leaves: dict 
         if isinstance(node, SumNode):
             return reduce(operator.add, map(rec, node.parts))
         if isinstance(node, ProdNode):
-            return reduce(backend.product, map(rec, node.parts))
+            if not memo_products:
+                return reduce(backend.product, map(rec, node.parts))
+            value = leaves.get(node)
+            if value is None:
+                value = leaves[node] = reduce(backend.product, map(rec, node.parts))
+            return value
         if isinstance(node, ScalarNode):
             return backend.scalar(node.value)
         if not isinstance(node, (GenT, GenTtilde, GenEuler)):

@@ -227,12 +227,6 @@ class WeylOp(SparseSum):
                 out[alpha] = c
         return WeylOp(self.ring, out, _trusted=True)
 
-    def max_order(self) -> int:
-        """Highest total derivative order present."""
-        if not self.terms:
-            return 0
-        return max(sum(a) for a in self.terms)
-
     def __repr__(self):
         from .printing import print_canonical
 

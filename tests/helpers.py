@@ -1,8 +1,10 @@
-"""Deterministic random generators shared by the test modules."""
+"""Deterministic random generators shared by the test modules, and small
+functions only the tests call."""
 
 import random
 
-from weylracah import Poly, Rat, Ring, WeylOp
+from weylracah import Poly, Rat, Ring, SlElement, WeylOp
+from weylracah.poly import MAX_DEGREE
 
 
 def random_rational(rng: random.Random, span: int = 6) -> Rat:
@@ -13,7 +15,7 @@ def random_rational(rng: random.Random, span: int = 6) -> Rat:
 
 def random_poly(rng: random.Random, ring: Ring, max_degree: int = 3, max_terms: int = 4) -> Poly:
     terms = {}
-    width = ring.num_symbols
+    width = num_symbols(ring)
     for _ in range(rng.randint(0, max_terms)):
         exps = [0] * width
         budget = rng.randint(0, max_degree)
@@ -73,3 +75,36 @@ def random_nu_values(rng: random.Random, n: int) -> dict:
 def monomial_poly(pi, position: int) -> Poly:
     """Basis monomial number `position` of a PiBasis, as a polynomial."""
     return Poly(pi.ring, {pi.monomials[position]: 1})
+
+
+def num_symbols(ring: Ring) -> int:
+    """The ring's symbol count: its u variables, k and its nu parameters."""
+    return ring.num_vars + 1 + ring.num_nu
+
+
+def diff(p: Poly, var_index: int) -> Poly:
+    """Formal partial derivative with respect to u_{var_index} (1-based).
+
+    Parameters k and nu are constants, so only u-variables admit a
+    derivative.
+    """
+    nv = p.ring.num_vars
+    if not 1 <= var_index <= nv:
+        raise ValueError(f"derivative index {var_index} out of range 1..{nv}")
+    return p.diff_multi(tuple(int(pos == var_index - 1) for pos in range(nv)))
+
+
+def total_degree(p: Poly) -> int:
+    return max(p.terms) >> p.ring.degree_shift if p.terms else 0
+
+
+def u_degree(p: Poly) -> int:
+    """Largest total degree in the u-variables alone."""
+    shifts = p.ring.shifts[: p.ring.num_vars]
+    return max((sum(m >> s & MAX_DEGREE for s in shifts) for m in p.terms), default=0)
+
+
+def sl_from_matrix(m: int, mat) -> SlElement:
+    """The sl_m element with this m x m matrix (a list of rows)."""
+    entries = {(i + 1, j + 1): mat[i][j] for i in range(m) for j in range(m)}
+    return SlElement._from_entries(m, entries)

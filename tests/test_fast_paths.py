@@ -1,9 +1,10 @@
 """Fast paths of the arithmetic core, cross-checked against the direct path.
 
 Coefficients are ints wherever they are integral, `WeylOp.commutator`
-composes both orders without the Leibniz terms that cancel, and the racah
-suite reads [C_A, C_B] from a table of pair commutators. Each test here
-compares one of these against the plain definition.
+composes both orders without the Leibniz terms that cancel, the racah
+suite reads [C_A, C_B] from a table of pair commutators, and provenance
+trees evaluated through one shared cache form each distinct product once.
+Each test here compares one of these against the plain definition.
 """
 
 import random
@@ -13,15 +14,22 @@ import pytest
 
 from helpers import random_weyl
 from weylracah import (
+    LeakageError,
+    OpMatrix,
     Poly,
     RacahContext,
     Ring,
     SlElement,
     WeylOp,
+    basis,
     check_racah_structure,
+    embedded_c_pair,
+    embedded_c_set,
+    eval_tree_matrix,
     print_canonical,
+    to_matrix,
 )
-from weylracah.sln import euler_tree, nonempty_subsets
+from weylracah.sln import GenEuler, ProdNode, euler_tree, nonempty_subsets
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +158,87 @@ def test_singleton_casimirs_are_u_free_multipliers(n):
         op = ctx.c_single(i)
         assert list(op.terms) == [(0,) * ctx.ring.num_vars]
         assert op.terms[(0,) * ctx.ring.num_vars].is_u_free()
+
+
+# n=4, k=2 with rational nu
+MEMO_VALUES = {
+    "k": 2,
+    "nu1": Fraction(3, 2),
+    "nu2": Fraction(-4, 3),
+    "nu3": Fraction(7, 5),
+    "nu4": 5,
+}
+
+
+def memo_trees(rc: RacahContext) -> dict:
+    """Every pair and subset tree of the embedding, keyed by its subset."""
+    return {A: embedded_c_set(rc, A).tree for A in nonempty_subsets(rc.n)}
+
+
+def product_nodes(tree, dm, seen: set) -> set:
+    """The distinct product nodes of a tree, with the Euler leaf expanded."""
+    if isinstance(tree, GenEuler):
+        tree = euler_tree(dm)
+    if isinstance(tree, ProdNode):
+        if tree in seen:
+            return seen
+        seen.add(tree)
+    for part in getattr(tree, "parts", ()):
+        product_nodes(part, dm, seen)
+    return seen
+
+
+def test_shared_cache_values_match_fresh_evaluation():
+    rc = RacahContext(4)
+    pi = basis(rc.ring, 2)
+    cache: dict = {}
+    for A, tree in memo_trees(rc).items():
+        shared = eval_tree_matrix(rc, tree, pi, MEMO_VALUES, cache)
+        assert shared == eval_tree_matrix(rc, tree, pi, MEMO_VALUES), A
+        assert shared == to_matrix(rc.c_set(A), pi, MEMO_VALUES), A
+    assert any(isinstance(key, ProdNode) for key in cache)
+
+
+def test_shared_cache_forms_each_distinct_product_once(monkeypatch):
+    rc = RacahContext(4)
+    pi = basis(rc.ring, 2)
+    trees = memo_trees(rc)
+    calls = []
+    matmul = OpMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(OpMatrix, "__matmul__", counted)
+    cache: dict = {}
+    for tree in trees.values():
+        eval_tree_matrix(rc, tree, pi, MEMO_VALUES, cache)
+    distinct: set = set()
+    for tree in trees.values():
+        product_nodes(tree, rc.dm, distinct)
+    assert len(calls) == sum(len(node.parts) - 1 for node in distinct) == len(distinct)
+    # the trees share products: walked one by one they hold many more
+    walked = sum(len(product_nodes(tree, rc.dm, set())) for tree in trees.values())
+    assert walked > 2 * len(distinct)
+
+
+def test_failed_product_is_not_memoised(monkeypatch):
+    rc = RacahContext(4)
+    pi = basis(rc.ring, 2)
+    tree = embedded_c_pair(rc, 1, 3).tree
+    matmul = OpMatrix.__matmul__
+
+    def leaking(a, b):
+        raise LeakageError("product left the space")
+
+    monkeypatch.setattr(OpMatrix, "__matmul__", leaking)
+    cache: dict = {}
+    for _ in range(2):
+        with pytest.raises(LeakageError):
+            eval_tree_matrix(rc, tree, pi, MEMO_VALUES, cache)
+        assert not any(isinstance(key, ProdNode) for key in cache)
+    monkeypatch.setattr(OpMatrix, "__matmul__", matmul)
+    assert eval_tree_matrix(rc, tree, pi, MEMO_VALUES, cache) == to_matrix(
+        rc.c_pair(1, 3), pi, MEMO_VALUES
+    )

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -348,3 +349,71 @@ def test_euler_leaf_and_assemblies_agree_across_backends():
     assert len(trees) == 10
     for tree in trees:
         assert to_matrix(eval_tree(rc, tree), pi, values) == eval_tree_matrix(rc, tree, pi, values, {})
+
+
+def dense_reference(op, pi, values):
+    """The matrix of op as dense Fraction rows, column j built from `apply`
+    on basis monomial j."""
+    numeric = op.subs(values)
+    position = {mono: row for row, mono in enumerate(pi.monomials)}
+    rows = [[Fraction(0)] * pi.size for _ in range(pi.size)]
+    for col in range(pi.size):
+        for m, c in numeric.apply(monomial_poly(pi, col)).terms.items():
+            rows[position[pi.ring.unpack(m)]][col] += Fraction(c)
+    return rows
+
+
+def test_to_matrix_entries_are_int_exactly_when_integral():
+    rc = RacahContext(4)
+    pi = basis(rc.ring, 2)
+    # nu_i = (2i-1)/2 makes every entry of C_{1,2} integral
+    mat = to_matrix(rc.c_set((1, 2)), pi, fixed_assignment(4, 2))
+    assert len(mat.terms) == 9 and all(type(e) is int for e in mat.terms.values())
+    rng = random.Random(1618)
+    for _ in range(3):
+        values = {"k": 2, **random_nu_values(rng, 4)}
+        for A in nonempty_subsets(4):
+            assert int_exactly_when_integral(to_matrix(rc.c_set(A), pi, values)), A
+
+
+def test_to_matrix_matches_dense_fraction_reference():
+    # primes above 2**61 as denominators: the lcm that scales the operator
+    # is far past the machine-word range
+    p, q, r, s = 2305843009213693967, 2305843009213693973, 18446744073709551629, 7
+    rc = RacahContext(4)
+    pi = basis(rc.ring, 2)
+    rng = random.Random(2024)
+    assignments = [
+        fixed_assignment(4, 2),
+        {"k": 2, **random_nu_values(rng, 4)},
+        {"k": 2, "nu1": Rat(1, p), "nu2": Rat(-3, q), "nu3": Rat(p, r), "nu4": Rat(5, s)},
+    ]
+    ops = [rc.c_set(A) for A in nonempty_subsets(4)]
+    ops += [random_invariant_op(rng, rc.dm) for _ in range(10)]
+    for values in assignments:
+        for op in ops:
+            mat = to_matrix(op, pi, values)
+            assert mat.rows == dense_reference(op, pi, values)
+            assert int_exactly_when_integral(mat)
+
+
+def test_leakage_error_text():
+    rc = RacahContext(4)
+    ring = rc.ring
+    pi = basis(ring, 1)
+    values = fixed_assignment(4, 1)
+    with pytest.raises(LeakageError) as raised:
+        to_matrix(WeylOp.from_poly(ring.u(1)), pi, values)
+    assert str(raised.value) == (
+        "image of basis monomial (1, 0, 0, 0, 0, 0, 0) contains "
+        "degree 2 term (2, 0, 0, 0, 0, 0, 0), bound is 1"
+    )
+    # a leak among rational coefficients reads the same
+    raising = WeylOp.from_poly(ring.nu(1) * ring.u(1) * ring.u(2)) * WeylOp.partial(ring, 2)
+    leak = rc.c_pair(1, 2) + raising
+    with pytest.raises(LeakageError) as raised:
+        to_matrix(leak, pi, values)
+    assert str(raised.value) == (
+        "image of basis monomial (0, 1, 0, 0, 0, 0, 0) contains "
+        "degree 2 term (1, 1, 0, 0, 0, 0, 0), bound is 1"
+    )
