@@ -26,7 +26,7 @@ from .embed import (
     l_op_pair,
     verify_embedding,
 )
-from .repmat import LeakageError, OpMatrix, PiBasis, basis, mat_check_identity, to_matrix
+from .repmat import LeakageError, OpMatrix, PiBasis, basis, to_matrix
 from .printing import format_poly, print_canonical
 from .dsl import ParseError, elaborate, parse
 from .cli import run_cli
@@ -60,7 +60,6 @@ __all__ = [
     "OpMatrix",
     "PiBasis",
     "basis",
-    "mat_check_identity",
     "to_matrix",
     "format_poly",
     "print_canonical",

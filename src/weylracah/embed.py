@@ -43,21 +43,15 @@ def eval_tree(ctx: RacahContext, node) -> WeylOp:
 def eval_tree_matrix(ctx: RacahContext, node, basis, assignment, cache=None):
     """Evaluate the provenance tree in the exact matrix model: generator
     leaves become their matrices on the bounded-degree basis and scalar
-    leaves scalar matrices, and products become matrix products. All three
-    are memoised in `cache`, products keyed by their node, so trees
-    evaluated through one cache form each shared product once."""
-    if cache is None:
-        cache = {}
-
-    def scalar(p: Poly) -> OpMatrix:
-        key = ("scalar", p)
-        mat = cache.get(key)
-        if mat is None:
-            mat = cache[key] = OpMatrix.scalar(basis.size, p.subs(assignment).constant_value())
-        return mat
-
-    backend = TreeBackend(lambda op: to_matrix(op, basis, assignment), scalar, operator.matmul)
-    return evaluate(node, ctx.dm, backend, cache)
+    leaves scalar matrices, and products become matrix products. Leaves,
+    scalars and products are memoised in `cache`, each keyed by its node,
+    so trees evaluated through one cache form each shared value once."""
+    backend = TreeBackend(
+        lambda op: to_matrix(op, basis, assignment),
+        lambda p: OpMatrix.scalar(basis.size, p.subs(assignment).constant_value()),
+        operator.matmul,
+    )
+    return evaluate(node, ctx.dm, backend, {} if cache is None else cache)
 
 
 # -- embedded expressions ----------------------------------------------------
@@ -205,11 +199,11 @@ def embedded_c_pair(ctx: RacahContext, i: int, j: int) -> EmbeddedExpr:
       s X Y - (2 nu_hi - 1) Y - 2 s nu_lo X + const,
     and for (1, 2), where nu_1 and nu_2 swap roles:
       -(-Euler - 1)(-d_1 + Euler) + 2 nu_2 (-Euler) - 2 nu_1 (-d_1 + Euler) + const,
-    where const = (nu_lo + nu_hi)(nu_lo + nu_hi - 1).
+    where const = ctx.nu_casimir(lo, hi), the constant of c_pair(lo, hi).
     """
     lo, hi = ctx.pair_key(i, j)
     ring = ctx.ring
-    const = EmbeddedExpr.scalar(ctx, (ring.nu(lo) + ring.nu(hi)) * (ring.nu(lo) + ring.nu(hi) - 1))
+    const = EmbeddedExpr.scalar(ctx, ctx.nu_casimir(lo, hi))
     if (lo, hi) == (1, 2):
         euler = EmbeddedExpr(ctx, GenEuler())
         lower = -_partial(ctx, (), 1) + euler
@@ -225,10 +219,9 @@ def embedded_c_pair(ctx: RacahContext, i: int, j: int) -> EmbeddedExpr:
 
 def embedded_c_set(ctx: RacahContext, A: Iterable[int]) -> EmbeddedExpr:
     """Subset Casimir assembled from embedded pairs and scalar singletons."""
-    ring = ctx.ring
     return subset_casimir(
         ctx.subset_key(A),
-        lambda i: EmbeddedExpr.scalar(ctx, ring.nu(i) * (ring.nu(i) - 1)),
+        lambda i: EmbeddedExpr.scalar(ctx, ctx.nu_casimir(i)),
         lambda i, j: embedded_c_pair(ctx, i, j),
     )
 

@@ -43,7 +43,6 @@ class RacahContext:
         # ambient sl realization used by the embedding; same coefficient ring
         self.dm = DmContext(n - 1, self.ring)
         self._pairs: dict = {}
-        self._sets: dict = {}
         # [C_p, C_q] keyed by sorted pairs p < q, and each triple's cyclic verdict
         self._brackets: dict = {}
         self._cyclic: dict = {}
@@ -61,80 +60,54 @@ class RacahContext:
         """u_lo + ... + u_hi."""
         return self.ring.u_sum(range(lo, hi + 1))
 
-    def euler_sum(self) -> WeylOp:
-        """sum_l u_l d_l over all n-2 variables: the ambient Euler operator
-        without its -k shift."""
-        return self.dm.euler_op() + self.ring.k()
-
-    def _nu_pair_constant(self, i: int, j: int) -> Poly:
-        s = self.ring.nu(i) + self.ring.nu(j)
+    def nu_casimir(self, *factors: int) -> Poly:
+        """s (s - 1) for s the sum of nu_i over the factors: the scalar of a
+        singleton Casimir and the constant term of a pair Casimir."""
+        s = sum((self.ring.nu(i) for i in factors), self.ring.zero())
         return s * (s - 1)
 
     def c_single(self, i: int) -> WeylOp:
         """Scalar Casimir nu_i (nu_i - 1)."""
         if not 1 <= i <= self.n:
             raise ValueError(f"factor index {i} out of range 1..{self.n}")
-        nu = self.ring.nu(i)
-        return WeylOp.from_poly(nu * (nu - 1))
+        return WeylOp.from_poly(self.nu_casimir(i))
 
     def step(self, j: int) -> WeylOp:
         """d_{j-2} - d_{j-1}, the step derivative of the factor index j."""
         return self.partial_or_zero(j - 2) - self.partial_or_zero(j - 1)
 
-    def c_pair(self, i: int, j: int) -> WeylOp:
-        """Two-factor Casimir; the unordered pair selects one of four shapes.
+    def _pair_shape(self, lo: int, hi: int) -> tuple:
+        """(f, A, B, P, Q) of the sorted pair (lo, hi), with E the Euler
+        operator sum_l u_l d_l - k and S_j = step(j):
+          lo = 1:   f = 1 - u_{1..hi-2},  A = -E - 1,      B = S_hi,  P = -E,       Q = -B
+          lo = 2:   f = u_{1..hi-2},      A = E + 1 - d_1, B = S_hi,  P = d_1 - E,  Q = B
+          lo >= 3:  f = u_{lo-1..hi-2},   A = S_hi,        B = S_lo,  P = -S_lo,    Q = S_hi
+        At (1, 2), f = 1 and B = E - d_1 stands in for S_2."""
+        e = self.dm.euler_op()
+        if lo == 1:
+            b = self.step(hi) if hi > 2 else e - self.partial_or_zero(1)
+            return self.ring.one() - self.u_range(1, hi - 2), -e - 1, b, -e, -b
+        if lo == 2:
+            d1, b = self.partial_or_zero(1), self.step(hi)
+            return self.u_range(1, hi - 2), e + 1 - d1, b, d1 - e, b
+        step_hi, step_lo = self.step(hi), self.step(lo)
+        return self.u_range(lo - 1, hi - 2), step_hi, step_lo, -step_lo, step_hi
 
-        Each shape is its quadratic leading term plus lower-order terms; the
-        leading term is cached with the operator (see `c_pair_lead`).
+    def c_pair(self, i: int, j: int) -> WeylOp:
+        """Two-factor Casimir -f^2 A B + 2 nu_hi f P + 2 nu_lo f Q + s (s - 1),
+        s = nu_lo + nu_hi, over the shape (f, A, B, P, Q) of the sorted pair.
+
+        Its quadratic leading term -f^2 A B is cached with the operator (see
+        `c_pair_lead`).
         """
         lo, hi = self.pair_key(i, j)
         cached = self._pairs.get((lo, hi))
         if cached is not None:
             return cached[1]
-
-        ring = self.ring
-        k = ring.k()
-        eu = self.euler_sum()
-        if (lo, hi) == (1, 2):
-            lower = WeylOp.from_poly(-k) - self.partial_or_zero(1) + eu
-            lead = -((WeylOp.from_poly(k - 1) - eu) * lower)
-            op = (
-                lead
-                + 2 * ring.nu(2) * (WeylOp.from_poly(k) - eu)
-                - 2 * ring.nu(1) * lower
-                + self._nu_pair_constant(1, 2)
-            )
-        elif lo == 1:
-            front = ring.one() - self.u_range(1, hi - 2)
-            step = self.step(hi)
-            lead = -(front**2 * ((WeylOp.from_poly(k - 1) - eu) * step))
-            op = (
-                lead
-                + 2 * ring.nu(hi) * (front * (WeylOp.from_poly(k) - eu))
-                - 2 * ring.nu(1) * (front * step)
-                + self._nu_pair_constant(1, hi)
-            )
-        elif lo == 2:
-            front = self.u_range(1, hi - 2)
-            step = self.step(hi)
-            lower = WeylOp.from_poly(1 - k) - self.partial_or_zero(1) + eu
-            lead = -(front**2 * (lower * step))
-            op = (
-                lead
-                + 2 * ring.nu(hi) * (front * (WeylOp.from_poly(k) + self.partial_or_zero(1) - eu))
-                + 2 * ring.nu(2) * (front * step)
-                + self._nu_pair_constant(2, hi)
-            )
-        else:
-            front = self.u_range(lo - 1, hi - 2)
-            step_hi, step_lo = self.step(hi), self.step(lo)
-            lead = -(front**2 * (step_hi * step_lo))
-            op = (
-                lead
-                + 2 * ring.nu(lo) * (front * step_hi)
-                - 2 * ring.nu(hi) * (front * step_lo)
-                + self._nu_pair_constant(lo, hi)
-            )
+        f, a, b, p, q = self._pair_shape(lo, hi)
+        nu = self.ring.nu
+        lead = -(f**2 * (a * b))
+        op = lead + 2 * nu(hi) * (f * p) + 2 * nu(lo) * (f * q) + self.nu_casimir(lo, hi)
         self._pairs[(lo, hi)] = (lead, op)
         return op
 
@@ -156,11 +129,7 @@ class RacahContext:
 
     def c_set(self, A: Iterable[int]) -> WeylOp:
         """Casimir of a factor subset, by `subset_casimir`."""
-        a = self.subset_key(A)
-        op = self._sets.get(a)
-        if op is None:
-            op = self._sets[a] = subset_casimir(a, self.c_single, self.c_pair)
-        return op
+        return subset_casimir(self.subset_key(A), self.c_single, self.c_pair)
 
     def pair_commutator(self, p: tuple, q: tuple) -> WeylOp:
         """[C_p, C_q] for sorted pairs p < q, computed once."""

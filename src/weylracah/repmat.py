@@ -16,7 +16,7 @@ from typing import Mapping
 from .poly import Poly, Rat, Ring, SparseSum, _as_rat
 from .weyl import WeylOp
 
-__all__ = ["LeakageError", "PiBasis", "OpMatrix", "basis", "to_matrix", "mat_check_identity"]
+__all__ = ["LeakageError", "PiBasis", "OpMatrix", "basis", "to_matrix"]
 
 # Largest basis that `basis` builds: a matrix over it has up to size^2 entries.
 MAX_BASIS = 2000
@@ -237,9 +237,3 @@ def to_matrix(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> OpMa
             entries[(row, col)] = coeff
     return OpMatrix(pi.size, _divide(entries, d), _trusted=True)
 
-
-def mat_check_identity(
-    lhs: WeylOp, rhs: WeylOp, pi: PiBasis, assignment: Mapping[str, object]
-) -> bool:
-    """Entrywise equality of the two operator matrices."""
-    return to_matrix(lhs, pi, assignment) == to_matrix(rhs, pi, assignment)

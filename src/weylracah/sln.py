@@ -225,14 +225,6 @@ class DmContext:
             op = op + c * gen
         return op
 
-    def u_set_euler(self, B: Iterable[int]) -> WeylOp:
-        """u_B times the Euler operator, evaluated from `u_euler_tree`."""
-        return evaluate(u_euler_tree(self, B), self)
-
-    def u_set_partial(self, B: Iterable[int], alpha: int) -> WeylOp:
-        """u_B d_alpha, evaluated from `u_partial_tree`."""
-        return evaluate(u_partial_tree(self, B, alpha), self)
-
 
 # -- provenance trees --------------------------------------------------------
 # Leaves are the generator images t_op(i, j) and ttilde_op(d), the Euler
@@ -286,38 +278,36 @@ def evaluate(tree, dm: DmContext, backend: TreeBackend = SYMBOLIC, leaves: dict 
     """Value of a provenance tree; generator and Euler leaves are memoised
     in `leaves`, which may be shared between calls with the same backend.
 
-    A caller that passes `leaves` also gets every product node memoised
-    there, keyed by the node, so a product shared by several trees is
-    formed once; a product that raises memoises nothing. Without `leaves`
-    only the leaves are memoised, and no node is hashed.
+    A caller that passes `leaves` also gets every product and scalar node
+    memoised there, keyed by the node, so a value shared by several trees
+    is formed once. Without `leaves` only the leaves are memoised, and no
+    other node is hashed. Sums are never memoised, and a node that raises
+    memoises nothing.
     """
-    memo_products = leaves is not None
+    memo = leaves is not None
     if leaves is None:
         leaves = {}
 
     def rec(node):
         if isinstance(node, SumNode):
             return reduce(operator.add, map(rec, node.parts))
-        if isinstance(node, ProdNode):
-            if not memo_products:
-                return reduce(backend.product, map(rec, node.parts))
-            value = leaves.get(node)
-            if value is None:
-                value = leaves[node] = reduce(backend.product, map(rec, node.parts))
-            return value
-        if isinstance(node, ScalarNode):
-            return backend.scalar(node.value)
-        if not isinstance(node, (GenT, GenTtilde, GenEuler)):
-            raise TypeError(f"not a provenance node: {node!r}")
-        value = leaves.get(node)
+        keep = memo or isinstance(node, (GenT, GenTtilde, GenEuler))
+        value = leaves.get(node) if keep else None
         if value is None:
-            if isinstance(node, GenEuler):
-                value = rec(euler_tree(dm))
+            if isinstance(node, ProdNode):
+                value = reduce(backend.product, map(rec, node.parts))
+            elif isinstance(node, ScalarNode):
+                value = backend.scalar(node.value)
             elif isinstance(node, GenT):
                 value = backend.image(dm.t_op(node.i, node.j))
-            else:
+            elif isinstance(node, GenTtilde):
                 value = backend.image(dm.ttilde_op(node.d))
-            leaves[node] = value
+            elif isinstance(node, GenEuler):
+                value = rec(euler_tree(dm))
+            else:
+                raise TypeError(f"not a provenance node: {node!r}")
+            if keep:
+                leaves[node] = value
         return value
 
     return rec(tree)
@@ -430,7 +420,7 @@ def check_generator_membership(ctx: DmContext) -> Report:
             timed_check(
                 f"uE{set(B)}",
                 "generator sum equals u_B composed with Euler",
-                lambda: (ctx.u_set_euler(B), u_b * euler),
+                lambda: (evaluate(u_euler_tree(ctx, B), ctx), u_b * euler),
             )
         )
         for alpha in range(1, ctx.m):
@@ -439,7 +429,7 @@ def check_generator_membership(ctx: DmContext) -> Report:
                     f"uD{set(B)},d{alpha}",
                     "generator assembly equals u_B composed with d_alpha",
                     lambda: (
-                        ctx.u_set_partial(B, alpha),
+                        evaluate(u_partial_tree(ctx, B, alpha), ctx),
                         u_b * WeylOp.partial(ring, alpha),
                     ),
                 )

@@ -35,6 +35,7 @@ from weylracah import (
     to_matrix,
     verify_embedding,
 )
+from weylracah.sln import evaluate, u_euler_tree, u_partial_tree
 
 
 def criterion(acid, detail):
@@ -79,9 +80,10 @@ def test_ac3_generator_membership():
         euler = ctx.euler_op()
         for B in nonempty_subsets(m - 1):
             u_b = ring.u_sum(B)
-            assert ctx.u_set_euler(B) == u_b * euler
+            assert evaluate(u_euler_tree(ctx, B), ctx) == u_b * euler
             for alpha in range(1, m):
-                assert ctx.u_set_partial(B, alpha) == u_b * WeylOp.partial(ring, alpha)
+                u_b_d = u_b * WeylOp.partial(ring, alpha)
+                assert evaluate(u_partial_tree(ctx, B, alpha), ctx) == u_b_d
     for m in range(2, 7):
         ctx = DmContext(m)
         total = WeylOp.from_poly(ctx.ring.k())
@@ -186,10 +188,11 @@ def _matrix_identities_for(rc, pi, values, failures):
         failures.append(f"euler n={n} k={pi.degree}")
     for B in nonempty_subsets(m - 1):
         u_b = ring.u_sum(B)
-        if mat(dm.u_set_euler(B)) != mat(u_b * dm.euler_op()):
+        if mat(evaluate(u_euler_tree(dm, B), dm)) != mat(u_b * dm.euler_op()):
             failures.append(f"mem-euler[{B}] n={n} k={pi.degree}")
         for alpha in range(1, m):
-            if mat(dm.u_set_partial(B, alpha)) != mat(u_b * WeylOp.partial(ring, alpha)):
+            assembly = evaluate(u_partial_tree(dm, B, alpha), dm)
+            if mat(assembly) != mat(u_b * WeylOp.partial(ring, alpha)):
                 failures.append(f"mem-partial[{B},{alpha}] n={n} k={pi.degree}")
 
     # criterion 4: embedding, tree evaluated in matrix land

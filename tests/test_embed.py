@@ -1,5 +1,8 @@
 """Embedded Casimirs: L operators, provenance, equality with the realization."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from weylracah import (
@@ -250,3 +253,12 @@ def test_lead_blocks_feed_both_sides(monkeypatch, n, pair, corrupt, failing):
     report = verify_embedding(RacahContext(n))
     assert len(report.checks) == {4: 21, 5: 35}[n]
     assert [c.id for c in report.checks if not c.equal] == failing
+
+
+def test_readme_library_example(capsys):
+    # the README's one python block is a caller of the library: run it as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    exec(compile(example, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "C(1,3)" in out and "[FAIL]" not in out

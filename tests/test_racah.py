@@ -111,6 +111,70 @@ def test_c_pair_errors():
         rc.c_pair(1, 5)
 
 
+def euler_sum(rc):
+    """sum_l u_l d_l over the n-2 variables, term by term."""
+    ring = rc.ring
+    return sum((ring.u(l) * WeylOp.partial(ring, l) for l in range(1, rc.n - 1)), WeylOp.zero(ring))
+
+
+def reference_pair(rc, lo, hi):
+    """(lead, op) of the pair Casimir (lo, hi) by four per-shape formulas
+    written with the Euler sum: a reference for the shape table of c_pair."""
+    ring, k, nu = rc.ring, rc.ring.k(), rc.ring.nu
+
+    def d(i):  # d_{n-1} is zero by the index convention
+        return WeylOp.zero(ring) if i == rc.n - 1 else WeylOp.partial(ring, i)
+
+    def step(j):
+        return d(j - 2) - d(j - 1)
+
+    def u_range(a, b):
+        return sum((ring.u(l) for l in range(a, b + 1)), ring.zero())
+
+    eu = euler_sum(rc)
+    const = (nu(lo) + nu(hi)) * (nu(lo) + nu(hi) - 1)
+    if (lo, hi) == (1, 2):
+        lower = WeylOp.from_poly(-k) - d(1) + eu
+        lead = -((WeylOp.from_poly(k - 1) - eu) * lower)
+        return lead, lead + 2 * nu(2) * (WeylOp.from_poly(k) - eu) - 2 * nu(1) * lower + const
+    if lo == 1:
+        front = ring.one() - u_range(1, hi - 2)
+        lead = -(front**2 * ((WeylOp.from_poly(k - 1) - eu) * step(hi)))
+        middle = 2 * nu(hi) * (front * (WeylOp.from_poly(k) - eu))
+        return lead, lead + middle - 2 * nu(1) * (front * step(hi)) + const
+    if lo == 2:
+        front = u_range(1, hi - 2)
+        lower = WeylOp.from_poly(1 - k) - d(1) + eu
+        lead = -(front**2 * (lower * step(hi)))
+        middle = 2 * nu(hi) * (front * (WeylOp.from_poly(k) + d(1) - eu))
+        return lead, lead + middle + 2 * nu(2) * (front * step(hi)) + const
+    front = u_range(lo - 1, hi - 2)
+    lead = -(front**2 * (step(hi) * step(lo)))
+    middle = 2 * nu(lo) * (front * step(hi)) - 2 * nu(hi) * (front * step(lo))
+    return lead, lead + middle + const
+
+
+def test_c_pair_matches_four_branch_reference():
+    for n in range(3, 9):
+        rc = RacahContext(n)
+        for lo, hi in combinations(range(1, n + 1), 2):
+            lead, op = reference_pair(rc, lo, hi)
+            assert rc.c_pair(hi, lo) == op, (n, lo, hi)
+            assert rc.c_pair_lead(lo, hi) == lead, (n, lo, hi)
+
+
+def test_nu_casimir_from_ring_symbols():
+    # c_pair and embedded_c_pair share nu_casimir, so the embedding
+    # certificate C(lo,hi) cannot see an error in it
+    rc = RacahContext(5)
+    nu = {i: rc.ring.symbol(f"nu{i}") for i in range(1, 6)}
+    for i in nu:
+        assert rc.nu_casimir(i) == nu[i] * (nu[i] - 1)
+    for i, j in combinations(nu, 2):
+        s = nu[i] + nu[j]
+        assert rc.nu_casimir(i, j) == s * (s - 1)
+
+
 def test_c_set_degenerate_cases():
     rc = RacahContext(4)
     assert rc.c_set([2]) == rc.c_single(2)
@@ -206,4 +270,4 @@ def test_euler_sum_is_sum_of_u_d():
         for l in range(1, n - 1):
             d_l = tuple(int(pos == l - 1) for pos in range(n - 2))
             terms[d_l] = rc.ring.u(l)
-        assert rc.euler_sum() == WeylOp(rc.ring, terms)
+        assert rc.dm.euler_op() + rc.ring.k() == WeylOp(rc.ring, terms)

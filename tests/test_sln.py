@@ -16,6 +16,7 @@ from weylracah import (
     check_lemma1,
     check_sl_homomorphism,
 )
+from weylracah.sln import evaluate, u_euler_tree, u_partial_tree
 
 
 @pytest.fixture
@@ -137,24 +138,25 @@ def test_homomorphism_small_ranks():
 
 def test_u_set_euler(ctx3):
     ring = ctx3.ring
-    assert ctx3.u_set_euler([1]) == ring.u(1) * ctx3.euler_op()
-    assert ctx3.u_set_euler([1, 2]) == (ring.u(1) + ring.u(2)) * ctx3.euler_op()
+    assert evaluate(u_euler_tree(ctx3, [1]), ctx3) == ring.u(1) * ctx3.euler_op()
+    assert evaluate(u_euler_tree(ctx3, [1, 2]), ctx3) == (ring.u(1) + ring.u(2)) * ctx3.euler_op()
 
 
 def test_u_set_partial_examples(ctx3):
     ring = ctx3.ring
-    assert ctx3.u_set_partial([1], 1) == ring.u(1) * WeylOp.partial(ring, 1)
-    assert ctx3.u_set_partial([2], 1) == ring.u(2) * WeylOp.partial(ring, 1)
-    assert ctx3.u_set_partial([1, 2], 1) == (ring.u(1) + ring.u(2)) * WeylOp.partial(ring, 1)
+    assert evaluate(u_partial_tree(ctx3, [1], 1), ctx3) == ring.u(1) * WeylOp.partial(ring, 1)
+    assert evaluate(u_partial_tree(ctx3, [2], 1), ctx3) == ring.u(2) * WeylOp.partial(ring, 1)
+    u12_d1 = (ring.u(1) + ring.u(2)) * WeylOp.partial(ring, 1)
+    assert evaluate(u_partial_tree(ctx3, [1, 2], 1), ctx3) == u12_d1
 
 
 def test_u_set_errors(ctx3):
     with pytest.raises(ValueError):
-        ctx3.u_set_euler([])
+        evaluate(u_euler_tree(ctx3, []), ctx3)
     with pytest.raises(ValueError):
-        ctx3.u_set_euler([3])
+        evaluate(u_euler_tree(ctx3, [3]), ctx3)
     with pytest.raises(ValueError):
-        ctx3.u_set_partial([1], 3)
+        evaluate(u_partial_tree(ctx3, [1], 3), ctx3)
 
 
 def test_membership_suite():
