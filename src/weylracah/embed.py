@@ -19,9 +19,8 @@ from .poly import Poly
 from .racah import RacahContext, subset_casimir
 from .report import Report, timed_check
 from .repmat import OpMatrix, to_matrix
-# the tree node types live in sln, next to the generators they name
-from .sln import GenEuler, GenT, GenTtilde, ProdNode, ScalarNode, SumNode  # noqa: F401
-from .sln import TreeBackend, evaluate, is_generator_tree, u_euler_tree, u_partial_tree
+from .sln import GenEuler, GenT, ProdNode, ScalarNode, SumNode, TreeBackend, evaluate
+from .sln import is_generator_tree, u_euler_tree, u_partial_tree
 from .weyl import WeylOp
 
 __all__ = [
@@ -83,10 +82,6 @@ class EmbeddedExpr:
             raise ValueError("embedded scalars must be free of the u variables")
         return EmbeddedExpr(ctx, ScalarNode(p))
 
-    @staticmethod
-    def zero(ctx: RacahContext) -> "EmbeddedExpr":
-        return EmbeddedExpr.scalar(ctx, 0)
-
     def _join(self, other) -> "EmbeddedExpr":
         if not isinstance(other, EmbeddedExpr):
             other = EmbeddedExpr.scalar(self.ctx, other)
@@ -132,7 +127,7 @@ def _partial(ctx: RacahContext, B: Iterable[int], alpha: int) -> EmbeddedExpr:
     empty; zero at alpha = m, the one place the index convention applies."""
     m = ctx.dm.m
     if alpha == m:
-        return EmbeddedExpr.zero(ctx)
+        return EmbeddedExpr.scalar(ctx, 0)
     if not B:
         return (-1) * EmbeddedExpr(ctx, GenT(alpha, m))
     return EmbeddedExpr(ctx, u_partial_tree(ctx.dm, B, alpha))
@@ -183,8 +178,12 @@ def l_op_pair(ctx: RacahContext, tag: str, i: int, j: int) -> EmbeddedExpr:
 
 
 def _lead_blocks(ctx: RacahContext, lo: int, hi: int):
-    """(s, X, Y) with c_pair_lead(lo, hi) = s X Y + Y, for 3 <= hi: the one
-    table of which L blocks, with which sign, lead each pair."""
+    """(s, X, Y) with c_pair_lead(lo, hi) = s X Y + Y: the one table of which
+    blocks, with which sign, lead each pair. At (1, 2), X = Euler - d_1 stands
+    for the step derivative, as in the realization's `_pair_shape`."""
+    if hi == 2:
+        euler = EmbeddedExpr(ctx, GenEuler())
+        return 1, euler - _partial(ctx, (), 1), euler
     if lo == 1:
         return 1, l_op(ctx, "L1", hi), l_op(ctx, "L2", hi)
     if lo == 2:
@@ -195,24 +194,13 @@ def _lead_blocks(ctx: RacahContext, lo: int, hi: int):
 def embedded_c_pair(ctx: RacahContext, i: int, j: int) -> EmbeddedExpr:
     """Pair Casimir assembled inside the enveloping algebra.
 
-    For the sorted pair (lo, hi) with hi >= 3 and (s, X, Y) from `_lead_blocks`:
+    For the sorted pair (lo, hi) and (s, X, Y) from `_lead_blocks`:
       s X Y - (2 nu_hi - 1) Y - 2 s nu_lo X + const,
-    and for (1, 2), where nu_1 and nu_2 swap roles:
-      -(-Euler - 1)(-d_1 + Euler) + 2 nu_2 (-Euler) - 2 nu_1 (-d_1 + Euler) + const,
     where const = ctx.nu_casimir(lo, hi), the constant of c_pair(lo, hi).
     """
     lo, hi = ctx.pair_key(i, j)
     ring = ctx.ring
     const = EmbeddedExpr.scalar(ctx, ctx.nu_casimir(lo, hi))
-    if (lo, hi) == (1, 2):
-        euler = EmbeddedExpr(ctx, GenEuler())
-        lower = -_partial(ctx, (), 1) + euler
-        return (
-            -((-euler - EmbeddedExpr.scalar(ctx, 1)) * lower)
-            + (2 * ring.nu(2)) * (-euler)
-            - (2 * ring.nu(1)) * lower
-            + const
-        )
     s, x, y = _lead_blocks(ctx, lo, hi)
     return (s * x) * y - (2 * ring.nu(hi) - 1) * y + (-2 * s * ring.nu(lo)) * x + const
 

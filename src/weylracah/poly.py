@@ -231,6 +231,9 @@ class SparseSum:
             return type(self)(self.ring, {}, _trusted=True)
         return type(self)(self.ring, {key: c * s for key, c in self.terms.items()}, _trusted=True)
 
+    # Poly and WeylOp replace this with their own products.
+    __rmul__ = _scale
+
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:

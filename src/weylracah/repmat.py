@@ -128,14 +128,6 @@ class OpMatrix(SparseSum):
         return other
 
     @staticmethod
-    def zero(size: int) -> "OpMatrix":
-        return OpMatrix(size, {})
-
-    @staticmethod
-    def identity(size: int) -> "OpMatrix":
-        return OpMatrix.scalar(size, 1)
-
-    @staticmethod
     def scalar(size: int, value) -> "OpMatrix":
         v = _as_rat(value)
         return OpMatrix(size, {(i, i): v for i in range(size)} if v else {}, _trusted=True)
@@ -147,10 +139,6 @@ class OpMatrix(SparseSum):
         for (i, j), e in self.terms.items():
             rows[i][j] = e
         return rows
-
-    def __rmul__(self, value) -> "OpMatrix":
-        v = _as_rat(value)
-        return OpMatrix(self.ring, {key: v * e for key, e in self.terms.items()})
 
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
         other = self._coerce(other)
@@ -186,8 +174,6 @@ def _full_assignment(ring: Ring, pi: PiBasis, assignment: Mapping[str, object]) 
     values = {name: _as_rat(v) for name, v in assignment.items()}
     for name in values:
         ring.index_of(name)
-        if name.startswith("u"):
-            raise ValueError("matrix assignments fix parameters, not u variables")
     if "k" not in values:
         raise ValueError("assignment must fix k")
     kval = values["k"]

@@ -72,10 +72,6 @@ class SlElement(SparseSum):
         return other
 
     @staticmethod
-    def zero(m: int) -> "SlElement":
-        return SlElement(m, {})
-
-    @staticmethod
     def E(m: int, i: int, j: int) -> "SlElement":
         if i == j or not (1 <= i <= m and 1 <= j <= m):
             raise ValueError(f"E({i},{j}) is not a basis element of sl_{m}")
@@ -106,10 +102,6 @@ class SlElement(SparseSum):
             name = f"E({key[1]},{key[2]})" if key[0] == "E" else f"H({key[1]})"
             parts.append(name if c == 1 else f"{c}*{name}")
         return " + ".join(parts) if parts else "0"
-
-    def __rmul__(self, scalar) -> "SlElement":
-        s = _as_rat(scalar)
-        return SlElement(self.ring, {key: s * c for key, c in self.terms.items()})
 
     def _entries(self) -> dict:
         """Matrix entries {(i, j): value}: E_ij is entry (i, j), and H_d adds

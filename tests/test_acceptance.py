@@ -117,7 +117,7 @@ def test_ac5_racah_structure():
 
 
 def _sigma_matrix(element, gen_mats, size):
-    out = OpMatrix.zero(size)
+    out = OpMatrix.scalar(size, 0)
     for key, coeff in element.terms.items():
         out = out + coeff * gen_mats[key]
     return out
@@ -177,7 +177,7 @@ def _matrix_identities_for(rc, pi, values, failures):
             # multiplication by u_B alone leaves the space, so this side is
             # checked through its normal-ordered commutator
             com = WeylOp.from_poly(u_b).commutator(WeylOp.partial(ring, alpha))
-            if mat(com) != (-delta) * OpMatrix.identity(size):
+            if mat(com) != (-delta) * OpMatrix.scalar(size, 1):
                 failures.append(f"lemma1b[{B},{alpha}] n={n} k={pi.degree}")
 
     # criterion 3: membership identities

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import random
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -353,6 +355,11 @@ def test_recorded_requests_stay_under_the_work_limit(monkeypatch, capsys):
         ["commute", "--n", "4", "--lhs", "T[2,1]", "--rhs", "d1"],
         ["matrix", "--n", "4", "--k", "2", "--nu", "1/2,3/2,5/2,7/2", "--op", "C[1,2]"],
     ]
+    # the same lines as README.md writes them, with N = 4 and K = 2
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = re.findall(r"^weylracah (?:normalize|commute|matrix) .*$", text, re.MULTILINE)
+    fixed = {"N": "4", "K": "2"}
+    assert [[fixed.get(w, w) for w in shlex.split(line)[1:]] for line in lines] == readme
     spent = []
     product_work = WeylOp.product_work
 

@@ -15,15 +15,8 @@ from weylracah import (
     l_op_pair,
     verify_embedding,
 )
-from weylracah.embed import (
-    EmbeddedExpr,
-    GenEuler,
-    GenT,
-    GenTtilde,
-    ProdNode,
-    ScalarNode,
-    SumNode,
-)
+from weylracah.embed import EmbeddedExpr
+from weylracah.sln import GenEuler, GenT, GenTtilde, ProdNode, ScalarNode, SumNode
 
 
 @pytest.fixture
@@ -236,8 +229,9 @@ def test_rewrite_steps_start_from_c_pair():
     [
         (4, (1, 3), lambda s, x, y: (-s, x, y), ["rw1b(3)", "C(1,3)"]),
         (5, (3, 5), lambda s, x, y: (s, y, x), ["rw3(3,5)", "C(3,5)"]),
+        (4, (1, 2), lambda s, x, y: (-s, x, y), ["C(1,2)"]),
     ],
-    ids=["sign-flipped-1-3", "blocks-swapped-3-5"],
+    ids=["sign-flipped-1-3", "blocks-swapped-3-5", "sign-flipped-1-2"],
 )
 def test_lead_blocks_feed_both_sides(monkeypatch, n, pair, corrupt, failing):
     # one wrong table entry reaches its rewrite step and its embedded pair only
@@ -253,6 +247,16 @@ def test_lead_blocks_feed_both_sides(monkeypatch, n, pair, corrupt, failing):
     report = verify_embedding(RacahContext(n))
     assert len(report.checks) == {4: 21, 5: 35}[n]
     assert [c.id for c in report.checks if not c.equal] == failing
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_lead_blocks_of_the_first_pair(n):
+    # (1, 2) has no rewrite step, so its row of the table is checked here
+    import weylracah.embed as embed_mod
+
+    ctx = RacahContext(n)
+    s, x, y = embed_mod._lead_blocks(ctx, 1, 2)
+    assert (s * x.op) * y.op + y.op == ctx.c_pair_lead(1, 2)
 
 
 def test_readme_library_example(capsys):

@@ -165,16 +165,16 @@ def test_matrix_dump_format():
 
 
 def test_matrix_algebra():
-    eye = OpMatrix.identity(3)
-    zero = OpMatrix.zero(3)
+    eye = OpMatrix.scalar(3, 1)
+    zero = OpMatrix.scalar(3, 0)
     assert eye @ eye == eye
     assert eye - eye == zero
     assert zero.is_zero()
     assert (2 * eye).rows[0][0] == 2
     with pytest.raises(TypeError):
-        0.1 * OpMatrix.identity(2)
+        0.1 * OpMatrix.scalar(2, 1)
     with pytest.raises(ValueError):
-        eye @ OpMatrix.identity(2)
+        eye @ OpMatrix.scalar(2, 1)
 
 
 def random_rows(rng, size):
@@ -223,7 +223,7 @@ def test_sparse_matrix_matches_dense_arithmetic():
             assert (ma == mb) == (a == b)
             assert ma.dump() == "\n".join(" ".join(str(e) for e in row) for row in a)
             with pytest.raises(ValueError):
-                ma + OpMatrix.zero(size + 1)
+                ma + OpMatrix.scalar(size + 1, 0)
 
 
 def int_exactly_when_integral(mat) -> bool:
@@ -242,7 +242,7 @@ def test_kernel_entries_are_int_exactly_when_integral():
     for size in range(1, 6):
         for _ in range(10):
             a, b = from_rows(random_rows(rng, size)), from_rows(random_rows(rng, size))
-            for mat in (a @ b, b @ a, a.commutator(b), a @ OpMatrix.identity(size)):
+            for mat in (a @ b, b @ a, a.commutator(b), a @ OpMatrix.scalar(size, 1)):
                 assert int_exactly_when_integral(mat)
 
 
@@ -262,12 +262,12 @@ def test_kernel_large_coprime_denominators():
 
 
 def test_kernel_empty_and_zero_operands():
-    empty = OpMatrix.zero(0)
+    empty = OpMatrix.scalar(0, 0)
     assert (empty @ empty).terms == {} and empty.commutator(empty).is_zero()
     assert empty.rows == [] and empty.dump() == ""
     rng = random.Random(99)
     a = from_rows(random_rows(rng, 4))
-    zero = OpMatrix.zero(4)
+    zero = OpMatrix.scalar(4, 0)
     assert (a @ zero).is_zero() and (zero @ a).is_zero()
     assert a.commutator(zero).is_zero() and zero.commutator(a).is_zero()
     assert a.commutator(OpMatrix.scalar(4, Rat(5, 7))).is_zero()
@@ -276,7 +276,7 @@ def test_kernel_empty_and_zero_operands():
 
 
 def test_kernel_operand_errors():
-    eye = OpMatrix.identity(2)
+    eye = OpMatrix.scalar(2, 1)
     with pytest.raises(TypeError):
         eye @ 2
     with pytest.raises(TypeError):
@@ -284,7 +284,7 @@ def test_kernel_operand_errors():
     with pytest.raises(TypeError):
         eye.commutator([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
-        eye.commutator(OpMatrix.identity(3))
+        eye.commutator(OpMatrix.scalar(3, 1))
 
 
 def test_casimir_matrix_commutators_match_dense():
