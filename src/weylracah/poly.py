@@ -174,14 +174,14 @@ class Ring:
 
 
 class SparseSum:
-    """Ring operations shared by Poly, WeylOp, SlElement and OpMatrix.
+    """Ring operations shared by Poly, WeylOp and SlElement.
 
     An element is a finite map `terms` from keys (monomials, derivative
-    exponents, sl basis labels or matrix positions) to nonzero coefficients;
-    `ring` is what two operands must share (the ambient ring, the rank of
-    sl_m or the matrix size). A subclass supplies the constructor
-    `(ring, terms, *, _trusted)`, `_coerce`, which turns an operand into the
-    subclass or returns None, and its own product.
+    exponents or sl basis labels) to nonzero coefficients; `ring` is what
+    two operands must share (the ambient ring or the rank of sl_m). A
+    subclass supplies the constructor `(ring, terms, *, _trusted)`,
+    `_coerce`, which turns an operand into the subclass or returns None, and
+    its own product.
     """
 
     __slots__ = ()
@@ -250,7 +250,7 @@ class SparseSum:
         if not isinstance(n, int) or n < 0:
             raise ValueError("power must be a non-negative integer")
         result = self._coerce(1)
-        if result is None:  # no unit: sl elements and matrices take no powers
+        if result is None:  # no unit: sl elements take no powers
             return NotImplemented
         base = self
         while n:

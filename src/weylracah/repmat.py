@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
-from .poly import Poly, Rat, Ring, SparseSum, _as_rat
+from .poly import Poly, Rat, Ring, _as_rat
 from .weyl import WeylOp
 
 __all__ = ["LeakageError", "PiBasis", "OpMatrix", "basis", "to_matrix"]
@@ -66,125 +66,176 @@ def basis(ring: Ring, degree: int) -> PiBasis:
     return PiBasis(ring, degree, tuple(monos), {ring.pack(mono): i for i, mono in enumerate(monos)})
 
 
-def _integer_form(terms: Mapping[tuple, Rat]) -> tuple[int, dict[tuple, int]]:
-    """(d, scaled) with terms = scaled / d entrywise: d is the lcm of the
-    entries' denominators and every entry of scaled is an int."""
-    d = math.lcm(*{c.denominator for c in terms.values() if type(c) is not int})
-    return d, {
-        key: c * d if type(c) is int else c.numerator * (d // c.denominator)
-        for key, c in terms.items()
-    }
+def _kernel(x: "OpMatrix", y: "OpMatrix", commute: bool) -> "OpMatrix":
+    """x @ y, or x @ y - y @ x when commute, from the numerators.
 
-
-def _int_product(left: Mapping[tuple, int], right: Mapping[tuple, int]) -> dict[tuple, int]:
-    """The product of two integer matrices given as position maps; entries
-    that cancel stay in the result as zeros."""
-    by_row: dict[int, list] = {}
-    for (p, q), b in right.items():
-        by_row.setdefault(p, []).append((q, b))
-    out: dict[tuple, int] = {}
-    for (i, p), a in left.items():
-        for q, b in by_row.get(p, ()):
-            out[(i, q)] = out.get((i, q), 0) + a * b
-    return out
-
-
-def _divide(scaled: Mapping[tuple, int], d: int) -> dict[tuple, int | Rat]:
-    """The nonzero entries of scaled / d: an int where the division is exact,
-    a reduced Fraction otherwise."""
+    Row p of a right operand r is packed into the int sum_q r[p, q] 2^(w q),
+    so row i of x @ y is the int sum_p x[i, p] packed_y[p], with entry (i, q)
+    in slot q; a commutator subtracts sum_p y[i, p] packed_x[p] from it, and
+    a zero row is one comparison with 0. Decoding is exact by this bound:
+    with bx, by, bs the bit lengths of max|x|, max|y| and the size, an entry
+    of either product is at most size max|x| max|y| < 2^(bx + by + bs), so
+    every result entry lies strictly between -2^(w - 1) and 2^(w - 1) for
+    w = bx + by + bs + 2. Adding 2^(w - 1) to each slot makes the slots the
+    base-2^w digits of a nonnegative int, whose nonzero ones are read off.
+    """
+    size = x.size
+    bx, by = (max(map(abs, m.num.values()), default=0).bit_length() for m in (x, y))
+    w = bx + by + size.bit_length() + 2
+    totals = [0] * size
+    for left, right, sign in ((x, y, 1), (y, x, -1)) if commute else ((x, y, 1),):
+        packed = [0] * size
+        for (p, q), v in right.num.items():
+            packed[p] += sign * v << (w * q)
+        for (i, p), v in left.num.items():
+            totals[i] += v * packed[p]
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    bias = half * (((1 << (w * size)) - 1) // mask)
     out = {}
-    for key, c in scaled.items():
-        if c:
-            q, r = divmod(c, d)
-            out[key] = Rat(c, d) if r else q
-    return out
+    for i, t in enumerate(totals):
+        if t:
+            t += bias
+            nonzero, q = t ^ bias, 0
+            while nonzero > 0:
+                skip = ((nonzero & -nonzero).bit_length() - 1) // w
+                t >>= w * skip
+                nonzero >>= w * (skip + 1)
+                q += skip
+                out[(i, q)] = (t & mask) - half
+                t >>= w
+                q += 1
+    return OpMatrix._of(size, out, x.d * y.d)
 
 
-class OpMatrix(SparseSum):
-    """Square matrix of exact rationals, stored as its nonzero entries.
+class OpMatrix:
+    """Square matrix of exact rationals, stored as num / d.
 
-    `terms` maps (row, col), both 0-based, to nonzero values and `ring` is
-    the size; sums and equality come from SparseSum. Products and
-    commutators run on integers: each operand is scaled once by the lcm of
-    its denominators, and only nonzero results are divided back.
+    `num` maps each nonzero position (row, col), both 0-based, to an int,
+    and d is a positive int with gcd(d, every entry) = 1, so equal matrices
+    have equal (size, num, d). Arithmetic runs on these ints; `terms`,
+    `rows` and `dump` are views built when read.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("size", "num", "d")
 
-    def __init__(self, ring: int, terms: Mapping[tuple, Rat], *, _trusted=False):
-        self.ring = ring
-        if _trusted:
-            self.terms = terms
-            return
-        if any(not (0 <= i < ring and 0 <= j < ring) for i, j in terms):
-            raise ValueError(f"entry position outside a {ring} x {ring} matrix")
-        self.terms = {key: _as_rat(c) for key, c in terms.items() if c}
+    def __init__(self, size: int, terms: Mapping[tuple, Rat]):
+        if any(not (0 <= i < size and 0 <= j < size) for i, j in terms):
+            raise ValueError(f"entry position outside a {size} x {size} matrix")
+        entries = {key: _as_rat(c) for key, c in terms.items()}
+        self.size = size
+        self.d = d = math.lcm(*(c.denominator for c in entries.values()))
+        self.num = {key: c.numerator * (d // c.denominator) for key, c in entries.items() if c}
 
-    def _coerce(self, other) -> "OpMatrix | None":
+    @classmethod
+    def _of(cls, size: int, num: dict, d: int) -> "OpMatrix":
+        """num / d, from a map without zero entries and d > 0, in lowest terms."""
+        g = math.gcd(d, *num.values()) if d != 1 else 1
+        if g != 1:
+            num = {key: v // g for key, v in num.items()}
+            d //= g
+        mat = cls.__new__(cls)
+        mat.size, mat.num, mat.d = size, num, d
+        return mat
+
+    def _check(self, other) -> "OpMatrix | None":
         if not isinstance(other, OpMatrix):
             return None
-        if other.ring != self.ring:
+        if other.size != self.size:
             raise ValueError("matrix size mismatch")
         return other
 
     @staticmethod
     def scalar(size: int, value) -> "OpMatrix":
         v = _as_rat(value)
-        return OpMatrix(size, {(i, i): v for i in range(size)} if v else {}, _trusted=True)
+        diagonal = {(i, i): v.numerator for i in range(size)} if v else {}
+        return OpMatrix._of(size, diagonal, v.denominator)
+
+    @property
+    def terms(self) -> dict:
+        """The nonzero entries: an int where integral, else a reduced Fraction."""
+        d = self.d
+        return {key: v // d if v % d == 0 else Rat(v, d) for key, v in self.num.items()}
 
     @property
     def rows(self) -> list[list[Rat]]:
         """The dense view: a list of rows with zeros filled in."""
-        rows = [[0] * self.ring for _ in range(self.ring)]
+        rows = [[0] * self.size for _ in range(self.size)]
         for (i, j), e in self.terms.items():
             rows[i][j] = e
         return rows
 
-    def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
-        other = self._coerce(other)
-        if other is None:
+    def __bool__(self):
+        return bool(self.num)
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def __eq__(self, other):
+        if not isinstance(other, OpMatrix):
             return NotImplemented
-        da, a = _integer_form(self.terms)
-        db, b = _integer_form(other.terms)
-        return OpMatrix(self.ring, _divide(_int_product(a, b), da * db), _trusted=True)
+        return self.size == other.size and self.d == other.d and self.num == other.num
+
+    def __neg__(self):
+        return OpMatrix._of(self.size, {key: -v for key, v in self.num.items()}, self.d)
+
+    def __add__(self, other):
+        if self._check(other) is None:
+            return NotImplemented
+        d = math.lcm(self.d, other.d)
+        a, b = d // self.d, d // other.d
+        out = {key: v * a for key, v in self.num.items()} if a != 1 else dict(self.num)
+        for key, v in other.num.items():
+            v = out.get(key, 0) + v * b
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+        return OpMatrix._of(self.size, out, d)
+
+    def __sub__(self, other):
+        return NotImplemented if self._check(other) is None else self + -other
+
+    def __rmul__(self, value):
+        """The scalar multiple value * self."""
+        s = _as_rat(value)
+        num = {key: v * s.numerator for key, v in self.num.items()} if s else {}
+        return OpMatrix._of(self.size, num, self.d * s.denominator)
+
+    def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
+        return NotImplemented if self._check(other) is None else _kernel(self, other, False)
 
     def commutator(self, other: "OpMatrix") -> "OpMatrix":
-        """self @ other - other @ self, with the difference taken in integers,
-        so a zero commutator builds no Fraction."""
-        if self._coerce(other) is None:
+        """self @ other - other @ self, both products summed in one kernel."""
+        if self._check(other) is None:
             raise TypeError(
                 f"unsupported operand type(s) for commutator: 'OpMatrix' and '{type(other).__name__}'"
             )
-        da, a = _integer_form(self.terms)
-        db, b = _integer_form(other.terms)
-        out = _int_product(a, b)
-        for key, c in _int_product(b, a).items():
-            out[key] = out.get(key, 0) - c
-        return OpMatrix(self.ring, _divide(out, da * db), _trusted=True)
+        return _kernel(self, other, True)
 
     def dump(self) -> str:
         """Row-major text form, entries as exact p/q strings."""
         return "\n".join(" ".join(str(e) for e in row) for row in self.rows)
 
     def __repr__(self):
-        return f"OpMatrix(size={self.ring})"
+        return f"OpMatrix(size={self.size})"
 
 
-def _full_assignment(ring: Ring, pi: PiBasis, assignment: Mapping[str, object]) -> dict:
+def _substituted(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> WeylOp:
+    """op with the assignment substituted, which must fix k to the degree
+    bound and every nu. `WeylOp.subs` looks each name up once and rejects
+    unknown names and u variables, so those errors win over a bad k or nu."""
     values = {name: _as_rat(v) for name, v in assignment.items()}
-    for name in values:
-        ring.index_of(name)
+    numeric = op.subs(values)
     if "k" not in values:
         raise ValueError("assignment must fix k")
     kval = values["k"]
     if kval.denominator != 1 or kval < 0 or int(kval) != pi.degree:
-        raise ValueError(
-            f"k must equal the basis degree bound {pi.degree}, got {kval}"
-        )
-    missing = [f"nu{i}" for i in range(1, ring.num_nu + 1) if f"nu{i}" not in values]
+        raise ValueError(f"k must equal the basis degree bound {pi.degree}, got {kval}")
+    missing = [f"nu{i}" for i in range(1, op.ring.num_nu + 1) if f"nu{i}" not in values]
     if missing:
         raise ValueError(f"assignment missing parameters: {', '.join(missing)}")
-    return values
+    return numeric
 
 
 def to_matrix(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> OpMatrix:
@@ -193,21 +244,19 @@ def to_matrix(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> OpMa
     bound.
 
     The substituted operator is scaled once to int coefficients by the lcm
-    d of their denominators, applied on ints, and each entry divided back.
+    d of their denominators and applied on ints; the images are the
+    numerators of the matrix over d.
     """
     ring = op.ring
     if ring != pi.ring:
         raise ValueError("operator and basis rings differ")
-    numeric = op.subs(_full_assignment(ring, pi, assignment))
-    d, flat = _integer_form(
-        {(alpha, m): c for alpha, p in numeric.terms.items() for m, c in p.terms.items()}
-    )
-    scaled: dict[tuple, dict] = {}
-    for (alpha, m), c in flat.items():
-        scaled.setdefault(alpha, {})[m] = c
-    numeric = WeylOp(
-        ring, {a: Poly(ring, t, _trusted=True) for a, t in scaled.items()}, _trusted=True
-    )
+    numeric = _substituted(op, pi, assignment)
+    d = math.lcm(*(c.denominator for p in numeric.terms.values() for c in p.terms.values()))
+    scaled = {}
+    for alpha, p in numeric.terms.items():
+        terms = {m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}
+        scaled[alpha] = Poly(ring, terms, _trusted=True)
+    numeric = WeylOp(ring, scaled, _trusted=True)
     entries = {}
     nv = ring.num_vars
     for col, key in enumerate(pi.index):
@@ -221,5 +270,4 @@ def to_matrix(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> OpMa
                     f"degree {sum(exps[:nv])} term {exps}, bound is {pi.degree}"
                 )
             entries[(row, col)] = coeff
-    return OpMatrix(pi.size, _divide(entries, d), _trusted=True)
-
+    return OpMatrix._of(pi.size, entries, d)

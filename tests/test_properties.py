@@ -1,11 +1,13 @@
 """Property-based checks of the algebraic laws the engine relies on."""
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from helpers import diff, random_weyl
 from weylracah import (
+    OpMatrix,
     Poly,
     RacahContext,
     Rat,
@@ -39,6 +41,23 @@ d_exponents = st.tuples(
 weyl_ops = st.dictionaries(d_exponents, polys, max_size=3).map(
     lambda d: WeylOp(RING, {a: p for a, p in d.items()})
 )
+
+# Matrix entries: zero often, numerators past 2**64, and pairwise coprime
+# denominators, two of them primes above 2**61 and 2**64.
+DENOMINATORS = (1, 2, 3, 5, 7, 2305843009213693967, 18446744073709551629)
+matrix_entries = st.one_of(
+    st.just(0),
+    st.builds(Rat, st.integers(min_value=-(2**70), max_value=2**70), st.sampled_from(DENOMINATORS)),
+)
+
+
+@st.composite
+def square_pairs(draw):
+    """Two size x size lists of rows, size 0 to 8."""
+    size = draw(st.integers(min_value=0, max_value=8))
+    rows = st.lists(matrix_entries, min_size=size, max_size=size)
+    square = st.lists(rows, min_size=size, max_size=size)
+    return draw(square), draw(square)
 
 
 @given(polys, polys, polys)
@@ -116,3 +135,40 @@ def test_jacobi_identity(a, b, c):
 def test_parse_print_round_trip(seed):
     op = random_weyl(random.Random(seed), RC.ring)
     assert elaborate(parse(print_canonical(op), RC), RC) == op
+
+
+def dense_matmul(a, b):
+    """The product of two lists of rows, each entry summed in Fractions."""
+    n = len(a)
+    return [
+        [sum((Fraction(a[i][p]) * b[p][q] for p in range(n)), Fraction(0)) for q in range(n)]
+        for i in range(n)
+    ]
+
+
+def rows_to_matrix(rows):
+    return OpMatrix(len(rows), {(i, j): e for i, row in enumerate(rows) for j, e in enumerate(row)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_pairs())
+def test_matrix_kernel_matches_dense_fractions(pair):
+    a, b = pair
+    n = len(a)
+    ma, mb = rows_to_matrix(a), rows_to_matrix(b)
+    ab, ba = dense_matmul(a, b), dense_matmul(b, a)
+    assert (ma @ mb).rows == ab
+    assert (mb @ ma).rows == ba
+    assert ma.commutator(mb).rows == [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
+    assert ma.commutator(mb) == ma @ mb - mb @ ma
+    zero = OpMatrix(n, {})
+    assert (ma @ zero).is_zero() and (zero @ ma).is_zero() and zero.commutator(ma).is_zero()
+    # a polynomial in A commutes with A: each row total of the packed
+    # commutator cancels to exactly 0
+    square = dense_matmul(a, a)
+    poly_a = [
+        [3 * s - 2 * x + (7 if i == j else 0) for j, (s, x) in enumerate(zip(rs, ra))]
+        for i, (rs, ra) in enumerate(zip(square, a))
+    ]
+    assert ma.commutator(rows_to_matrix(poly_a)).is_zero()
+    assert ma.commutator(ma).is_zero()

@@ -99,16 +99,33 @@ def test_assignment_validation():
     rc = RacahContext(4)
     pi = basis(rc.ring, 2)
     good = fixed_assignment(4, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k must equal the basis degree bound 2, got 1$"):
         to_matrix(rc.c_pair(1, 2), pi, {**good, "k": 1})
     missing = dict(good)
     del missing["nu3"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="missing parameters: nu3$"):
         to_matrix(rc.c_pair(1, 2), pi, missing)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot substitute variable 'u1'"):
         to_matrix(rc.c_pair(1, 2), pi, {**good, "u1": 0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got 1/2$"):
         to_matrix(rc.c_pair(1, 2), pi, {**good, "k": Rat(1, 2)})
+    with pytest.raises(ValueError, match="unknown symbol 'x1'"):
+        to_matrix(rc.c_pair(1, 2), pi, {**good, "x1": 0})
+
+
+def test_assignment_name_errors_win_over_k_and_nu():
+    # the names are looked up once, when the operator is substituted, and
+    # that comes before the k and nu checks
+    rc = RacahContext(4)
+    pi = basis(rc.ring, 2)
+    no_k = fixed_assignment(4, 2)
+    del no_k["k"]
+    with pytest.raises(ValueError, match="must fix k"):
+        to_matrix(rc.c_pair(1, 2), pi, no_k)
+    with pytest.raises(ValueError, match="unknown symbol 'x1'"):
+        to_matrix(rc.c_pair(1, 2), pi, {**no_k, "x1": 0})
+    with pytest.raises(ValueError, match="cannot substitute variable 'u1'"):
+        to_matrix(rc.c_pair(1, 2), pi, {**no_k, "u1": 0})
 
 
 def test_identity_embedded_vs_direct():
@@ -230,20 +247,39 @@ def int_exactly_when_integral(mat) -> bool:
     return all((type(e) is int) == (Rat(e).denominator == 1) for e in mat.terms.values())
 
 
+def canonical(mat) -> bool:
+    """The stored form is num / d in lowest terms with no zero entry."""
+    return mat.d > 0 and math.gcd(mat.d, *mat.num.values()) == 1 and all(mat.num.values())
+
+
 def test_kernel_entries_are_int_exactly_when_integral():
+    # every way of building a matrix leaves it canonical, so equal matrices
+    # built along different paths compare equal
     rng = random.Random(2718)
     half, two = OpMatrix.scalar(3, Rat(1, 2)), OpMatrix.scalar(3, 2)
     assert type((half @ two).terms[(0, 0)]) is int
+    assert half @ two == OpMatrix.scalar(3, 1) == OpMatrix(3, {(i, i): Rat(2, 2) for i in range(3)})
     skew = from_rows([[Rat(1, 2), Rat(1, 3)], [Rat(3, 2), 0]])
     shift = from_rows([[0, 6], [0, 0]])
     # [skew, shift] = [[-9, 3], [0, 9]]: integral although skew is not
     assert skew.commutator(shift).rows == [[-9, 3], [0, 9]]
     assert int_exactly_when_integral(skew.commutator(shift))
+    assert skew.commutator(shift) == from_rows([[-9, 3], [0, 9]])
     for size in range(1, 6):
         for _ in range(10):
-            a, b = from_rows(random_rows(rng, size)), from_rows(random_rows(rng, size))
-            for mat in (a @ b, b @ a, a.commutator(b), a @ OpMatrix.scalar(size, 1)):
-                assert int_exactly_when_integral(mat)
+            rows_a, rows_b = random_rows(rng, size), random_rows(rng, size)
+            a, b = from_rows(rows_a), from_rows(rows_b)
+            built = (
+                a, a @ b, b @ a, a.commutator(b), a @ OpMatrix.scalar(size, 1), a + b, a - b,
+                a - a, -a, Rat(3, 4) * a, 0 * a, OpMatrix.scalar(size, Rat(-5, 7)),
+            )
+            for mat in built:
+                assert canonical(mat) and int_exactly_when_integral(mat)
+            product = a @ b
+            assert product == from_rows(dense_product(rows_a, rows_b))
+            assert product == OpMatrix(size, product.terms)
+            assert Rat(1, 2) * a + Rat(1, 2) * a == a == (a @ b) @ OpMatrix.scalar(size, 0) + a
+            assert a - a == OpMatrix(size, {}) == 0 * a == OpMatrix.scalar(size, 0)
 
 
 def test_kernel_large_coprime_denominators():
@@ -259,6 +295,47 @@ def test_kernel_large_coprime_denominators():
     assert ma.commutator(mb).rows == entrywise(sub, dense_product(a, b), dense_product(b, a))
     assert ma.commutator(ma).is_zero()
     assert int_exactly_when_integral(ma @ mb) and int_exactly_when_integral(ma.commutator(mb))
+
+
+def test_kernel_entries_at_the_width_bound():
+    # A = M s 1^T and B = M 1 s^T for a sign vector s give [A, B] =
+    # n M^2 (s s^T - 1): entries -2 n M^2 where the signs differ, within 1/8
+    # of the bound 2^(w - 1) that sizes the kernel's slots at n = 7, and
+    # [B, A] puts +2 n M^2 there; A @ A reaches n M^2
+    sub = lambda x, y: x - y
+    for bits in (1, 8, 63, 64, 65, 100):
+        big = 2**bits - 1
+        for n in (1, 2, 3, 7):
+            s = [1 if i % 3 else -1 for i in range(n)]
+            a = [[big * s[i]] * n for i in range(n)]
+            b = [[big * s[q] for q in range(n)] for _ in range(n)]
+            a_third = [[Rat(e, 3) for e in row] for row in a]
+            extremes = set()
+            for x, y in ((a, b), (b, a), (a, a), (b, a_third), (a_third, b)):
+                mx, my = from_rows(x), from_rows(y)
+                xy, yx = dense_product(x, y), dense_product(y, x)
+                com = entrywise(sub, xy, yx)
+                assert (mx @ my).rows == xy, (bits, n)
+                assert mx.commutator(my).rows == com, (bits, n)
+                extremes |= {max(map(abs, row)) for row in xy + com}
+            assert max(extremes) == (2 * n * big**2 if n > 1 else big**2)
+
+
+def test_kernel_rows_that_cancel_to_zero():
+    # B = 2 A^2 - 3 A + 5 commutes with A although neither product has a
+    # zero row, so every packed row total of [A, B] cancels to exactly 0
+    rng = random.Random(404)
+    for size in range(1, 9):
+        a = [[random_rational(rng, 2**70) for _ in range(size)] for _ in range(size)]
+        square = dense_product(a, a)
+        b = [
+            [2 * square[i][j] - 3 * a[i][j] + (5 if i == j else 0) for j in range(size)]
+            for i in range(size)
+        ]
+        ma, mb = from_rows(a), from_rows(b)
+        assert all(any(row) for row in dense_product(a, b))
+        assert ma.commutator(mb).is_zero() and mb.commutator(ma).is_zero()
+        assert ma @ mb == mb @ ma == from_rows(dense_product(a, b))
 
 
 def test_kernel_empty_and_zero_operands():
@@ -369,11 +446,14 @@ def test_to_matrix_entries_are_int_exactly_when_integral():
     # nu_i = (2i-1)/2 makes every entry of C_{1,2} integral
     mat = to_matrix(rc.c_set((1, 2)), pi, fixed_assignment(4, 2))
     assert len(mat.terms) == 9 and all(type(e) is int for e in mat.terms.values())
+    assert mat.d == 1 and canonical(mat)
     rng = random.Random(1618)
     for _ in range(3):
         values = {"k": 2, **random_nu_values(rng, 4)}
         for A in nonempty_subsets(4):
-            assert int_exactly_when_integral(to_matrix(rc.c_set(A), pi, values)), A
+            mat = to_matrix(rc.c_set(A), pi, values)
+            assert canonical(mat) and int_exactly_when_integral(mat), A
+            assert mat == from_rows(mat.rows), A
 
 
 def test_to_matrix_matches_dense_fraction_reference():
