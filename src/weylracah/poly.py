@@ -60,7 +60,7 @@ class Ring:
     and `unpack` convert them to and from packed monomials, and `shifts[pos]`
     is the offset of symbol pos's field. Rings with equal shape are
     interchangeable. `texts` caches the printed form of monomials for
-    printing, and `_plans` caches the derivative plans of `Poly.diff_multi`.
+    printing, and `_plans` caches the plans of `derivative_plan`.
     """
 
     __slots__ = ("num_vars", "num_nu", "names", "_index", "shifts", "degree_shift", "u_mask",
@@ -121,6 +121,27 @@ class Ring:
     def unpack(self, m: int) -> tuple:
         """The exponent vector of a packed monomial."""
         return tuple(m >> shift & MAX_DEGREE for shift in self.shifts)
+
+    def check_product(self, m1: int, m2: int) -> None:
+        """Raise MonomialOverflowError if monomial m1 times m2 passes MAX_DEGREE."""
+        degree = (m1 >> self.degree_shift) + (m2 >> self.degree_shift)
+        if degree > MAX_DEGREE:
+            raise MonomialOverflowError(
+                f"a product of degree {degree} exceeds the limit {MAX_DEGREE}"
+            )
+
+    def derivative_plan(self, orders: tuple) -> tuple:
+        """(steps, drop) of d^orders, cached: steps pairs the field shift of
+        each differentiated variable with its order, and drop is the packed
+        amount that every monomial the derivative keeps loses."""
+        plan = self._plans.get(orders)
+        if plan is None:
+            if any(orders[self.num_vars :]):
+                raise ValueError(f"derivative orders {orders} name a parameter of {self!r}")
+            steps = tuple((self.shifts[pos], o) for pos, o in enumerate(orders) if o)
+            drop = sum(o << shift for shift, o in steps) + (sum(orders) << self.degree_shift)
+            plan = self._plans[orders] = (steps, drop)
+        return plan
 
     def capped_degrees(self, monomials: list, caps) -> tuple:
         """For each u-variable, the largest exponent over the monomials, read
@@ -310,12 +331,7 @@ class Poly(SparseSum):
         if other is None:
             return NotImplemented
         a, b = self.terms, other.terms
-        shift = self.ring.degree_shift
-        degree = (max(a, default=0) >> shift) + (max(b, default=0) >> shift)
-        if degree > MAX_DEGREE:
-            raise MonomialOverflowError(
-                f"a product of degree {degree} exceeds the limit {MAX_DEGREE}"
-            )
+        self.ring.check_product(max(a, default=0), max(b, default=0))
         out = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
@@ -338,19 +354,9 @@ class Poly(SparseSum):
         """Iterated derivative; orders[i] applications of d/du_{i+1}.
 
         One pass over the terms: u^e goes to e!/(e-o)! u^(e-o), and to zero
-        when e < o. Distinct monomials stay distinct, so nothing merges. The
-        ring caches each orders tuple's fields and the packed amount that
-        every surviving monomial loses.
+        when e < o. Distinct monomials stay distinct, so nothing merges.
         """
-        ring = self.ring
-        plan = ring._plans.get(orders)
-        if plan is None:
-            if any(orders[ring.num_vars :]):
-                raise ValueError(f"derivative orders {orders} name a parameter of {ring!r}")
-            steps = tuple((ring.shifts[pos], o) for pos, o in enumerate(orders) if o)
-            drop = sum(o << shift for shift, o in steps) + (sum(orders) << ring.degree_shift)
-            plan = ring._plans[orders] = (steps, drop)
-        steps, drop = plan
+        steps, drop = self.ring.derivative_plan(orders)
         if not steps:
             return self
         out = {}
@@ -362,7 +368,7 @@ class Poly(SparseSum):
                 c = c * math.perm(e, o)
             else:
                 out[m - drop] = c
-        return Poly(ring, out, _trusted=True)
+        return Poly(self.ring, out, _trusted=True)
 
     def subs(self, assignment: Mapping[str, object]) -> "Poly":
         """Substitute rational values for symbols named in the assignment.

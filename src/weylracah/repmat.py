@@ -76,19 +76,19 @@ def _kernel(x: "OpMatrix", y: "OpMatrix", commute: bool) -> "OpMatrix":
     with bx, by, bs the bit lengths of max|x|, max|y| and the size, an entry
     of either product is at most size max|x| max|y| < 2^(bx + by + bs), so
     every result entry lies strictly between -2^(w - 1) and 2^(w - 1) for
-    w = bx + by + bs + 2. Adding 2^(w - 1) to each slot makes the slots the
-    base-2^w digits of a nonnegative int, whose nonzero ones are read off.
+    any w >= bx + by + bs + 2. Adding 2^(w - 1) to each slot makes the slots
+    the base-2^w digits of a nonnegative int, whose nonzero ones are read
+    off. w is rounded up to a multiple of 64, so an operand mostly meets the
+    same w again and reuses the rows it packed last time.
     """
     size = x.size
     bx, by = (max(map(abs, m.num.values()), default=0).bit_length() for m in (x, y))
-    w = bx + by + size.bit_length() + 2
+    w = -(-(bx + by + size.bit_length() + 2) // 64) * 64
     totals = [0] * size
     for left, right, sign in ((x, y, 1), (y, x, -1)) if commute else ((x, y, 1),):
-        packed = [0] * size
-        for (p, q), v in right.num.items():
-            packed[p] += sign * v << (w * q)
+        packed = right._packed_rows(w)
         for (i, p), v in left.num.items():
-            totals[i] += v * packed[p]
+            totals[i] += sign * v * packed[p]
     mask = (1 << w) - 1
     half = 1 << (w - 1)
     bias = half * (((1 << (w * size)) - 1) // mask)
@@ -114,16 +114,17 @@ class OpMatrix:
     `num` maps each nonzero position (row, col), both 0-based, to an int,
     and d is a positive int with gcd(d, every entry) = 1, so equal matrices
     have equal (size, num, d). Arithmetic runs on these ints; `terms`,
-    `rows` and `dump` are views built when read.
+    `rows` and `dump` are views built when read. `_packed` caches the rows
+    `_kernel` packed last, as (w, rows); it is derived and not part of ==.
     """
 
-    __slots__ = ("size", "num", "d")
+    __slots__ = ("size", "num", "d", "_packed")
 
     def __init__(self, size: int, terms: Mapping[tuple, Rat]):
         if any(not (0 <= i < size and 0 <= j < size) for i, j in terms):
             raise ValueError(f"entry position outside a {size} x {size} matrix")
         entries = {key: _as_rat(c) for key, c in terms.items()}
-        self.size = size
+        self.size, self._packed = size, None
         self.d = d = math.lcm(*(c.denominator for c in entries.values()))
         self.num = {key: c.numerator * (d // c.denominator) for key, c in entries.items() if c}
 
@@ -135,8 +136,17 @@ class OpMatrix:
             num = {key: v // g for key, v in num.items()}
             d //= g
         mat = cls.__new__(cls)
-        mat.size, mat.num, mat.d = size, num, d
+        mat.size, mat.num, mat.d, mat._packed = size, num, d, None
         return mat
+
+    def _packed_rows(self, w: int) -> list:
+        """Row p as the int sum_q num[p, q] 2^(w q), packed again only when w changes."""
+        if self._packed is None or self._packed[0] != w:
+            rows = [0] * self.size
+            for (p, q), v in self.num.items():
+                rows[p] += v << (w * q)
+            self._packed = (w, rows)
+        return self._packed[1]
 
     def _check(self, other) -> "OpMatrix | None":
         if not isinstance(other, OpMatrix):
@@ -241,7 +251,8 @@ def _substituted(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> W
 def to_matrix(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> OpMatrix:
     """Exact matrix of the operator action; column j is the image of
     basis monomial j. Raises LeakageError when an image exceeds the degree
-    bound.
+    bound, naming the first such column and its leaking monomial that is
+    largest in graded-lex order.
 
     The substituted operator is scaled once to int coefficients by the lcm
     d of their denominators and applied on ints; the images are the
@@ -264,7 +275,7 @@ def to_matrix(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> OpMa
         for monomial, coeff in image.terms.items():
             row = pi.index.get(monomial)
             if row is None:
-                exps = ring.unpack(monomial)
+                exps = ring.unpack(max(m for m in image.terms if m not in pi.index))
                 raise LeakageError(
                     f"image of basis monomial {pi.monomials[col]} contains "
                     f"degree {sum(exps[:nv])} term {exps}, bound is {pi.degree}"

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Mapping
 
-from .poly import SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum
+from .poly import MAX_DEGREE, SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum
 
 __all__ = ["WeylOp"]
 
@@ -200,15 +200,37 @@ class WeylOp(SparseSum):
         return WeylOp(self.ring, out, _trusted=True)
 
     def apply(self, p: Poly) -> Poly:
-        """Act on a polynomial: sum_alpha p_alpha * (d^alpha p)."""
-        if p.ring != self.ring:
-            raise ContextMismatchError(f"{self.ring!r} vs {p.ring!r}")
-        result = self.ring.zero()
+        """Act on a polynomial: sum_alpha p_alpha * (d^alpha p), in one pass.
+
+        A term c u^e of p that d^alpha keeps adds c e!/(e-alpha)! times each
+        term of p_alpha at the sum of their monomials, straight into one map.
+        As in the product p_alpha * (d^alpha p), the leading degrees of
+        p_alpha and of the kept terms must add up to at most MAX_DEGREE.
+        """
+        ring = self.ring
+        if p.ring != ring:
+            raise ContextMismatchError(f"{ring!r} vs {p.ring!r}")
+        out = {}
         for alpha, coeff in self.terms.items():
-            dp = p.diff_multi(alpha)
-            if dp:
-                result = result + coeff * dp
-        return result
+            steps, drop = ring.derivative_plan(alpha)
+            top = -1
+            for m, c in p.terms.items():
+                weight = 1
+                for s, o in steps:
+                    e = m >> s & MAX_DEGREE
+                    if e < o:
+                        break
+                    weight *= math.perm(e, o)
+                else:
+                    top = max(top, m)
+                    m -= drop
+                    c *= weight
+                    for mu, a in coeff.terms.items():
+                        key = m + mu
+                        out[key] = out.get(key, 0) + a * c
+            if top >= 0:
+                ring.check_product(max(coeff.terms), top - drop)
+        return Poly(ring, {key: c for key, c in out.items() if c}, _trusted=True)
 
     def subs(self, assignment: Mapping[str, object]) -> "WeylOp":
         """Substitute parameter values into every coefficient.

@@ -108,6 +108,31 @@ def test_apply_respects_composition(a, b, p):
 
 
 @settings(max_examples=100, deadline=None)
+@st.composite
+def apply_cases(draw):
+    """An operator and a polynomial p. Half the operators gain two terms,
+    r d^beta(p) d^alpha and -r d^alpha(p) d^beta, whose images of p cancel."""
+    op, p = draw(weyl_ops), draw(polys)
+    if draw(st.booleans()):
+        alpha, r = draw(d_exponents), draw(polys)
+        beta = draw(d_exponents.filter(lambda b: b != alpha))
+        op = op + WeylOp(RING, {alpha: r * p.diff_multi(beta), beta: -r * p.diff_multi(alpha)})
+    return op, p
+
+
+@given(apply_cases())
+def test_apply_matches_two_step_reference(case):
+    # the one-pass action against sum_alpha coeff * d^alpha p formed as polynomials
+    op, p = case
+    reference = RING.zero()
+    for alpha, coeff in op.terms.items():
+        reference = reference + coeff * p.diff_multi(alpha)
+    image = op.apply(p)
+    assert image == reference
+    assert all(image.terms.values())
+    assert WeylOp.zero(RING).apply(p) == RING.zero() == op.apply(RING.zero())
+
+
 @given(weyl_ops, weyl_ops)
 def test_commutator_matches_direct_path(a, b):
     assert a.commutator(b) == a * b - b * a

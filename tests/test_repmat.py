@@ -352,6 +352,38 @@ def test_kernel_empty_and_zero_operands():
     assert OpMatrix.scalar(2, Rat(6, 3)).terms == {(0, 0): 2, (1, 1): 2}
 
 
+def test_kernel_reuses_packed_rows():
+    # x keeps the rows it packed last; every use below must match the dense
+    # reference whether x packs again or reuses its rows
+    rng = random.Random(8128)
+    sub = lambda a, b: a - b
+    rows_x, small = random_rows(rng, 5), random_rows(rng, 5)
+    wide = [[e * 2**70 + 1 if e else 0 for e in row] for row in random_rows(rng, 5)]
+    assert max(abs(e) for row in wide for e in row) > 2**64
+    x = from_rows(rows_x)
+    # as the right operand against a small partner, then against a wide one,
+    # which needs a wider slot and so packs x again, then the small one again
+    assert (from_rows(small) @ x).rows == dense_product(small, rows_x)
+    narrow = x._packed[0]
+    assert (from_rows(wide) @ x).rows == dense_product(wide, rows_x)
+    assert x._packed[0] > narrow
+    assert (from_rows(small) @ x).rows == dense_product(small, rows_x)
+    assert x._packed[0] == narrow
+    # as both operands of its own commutator
+    assert x.commutator(x).is_zero()
+    # in x @ y and then in x.commutator(y), which reuses what x @ y packed
+    for partner in (small, wide):
+        y = from_rows(partner)
+        xy, yx = dense_product(rows_x, partner), dense_product(partner, rows_x)
+        assert (x @ y).rows == xy
+        assert x.commutator(y).rows == entrywise(sub, xy, yx)
+        assert y.commutator(x).rows == entrywise(sub, yx, xy)
+    # the cached rows take no part in ==
+    fresh = from_rows(rows_x)
+    assert fresh._packed is None and x._packed is not None
+    assert x == fresh and fresh == x and x != from_rows(small)
+
+
 def test_kernel_operand_errors():
     eye = OpMatrix.scalar(2, 1)
     with pytest.raises(TypeError):
@@ -497,3 +529,17 @@ def test_leakage_error_text():
         "image of basis monomial (0, 1, 0, 0, 0, 0, 0) contains "
         "degree 2 term (1, 1, 0, 0, 0, 0, 0), bound is 1"
     )
+
+
+def test_leakage_error_names_the_largest_leak_of_the_first_column():
+    # u1 + u2 takes column u1 to u1^2 + u1 u2 and column u2 to u1 u2 + u2^2:
+    # the first leaking column is u1, and of its two leaks the message names
+    # u1^2, the larger in graded-lex order, however the image was summed
+    ring = Ring(2, 0)
+    pi = basis(ring, 1)
+    for op in (ring.u(1) + ring.u(2), ring.u(2) + ring.u(1), 2 * ring.u(2) - ring.u(1)):
+        with pytest.raises(LeakageError) as raised:
+            to_matrix(WeylOp.from_poly(op), pi, {"k": 1})
+        assert str(raised.value) == (
+            "image of basis monomial (1, 0, 0) contains degree 2 term (2, 0, 0), bound is 1"
+        )

@@ -1,11 +1,15 @@
 """The benchmark harness in perfbench/ still fits the package: its span table
-names attributes the package has, and its self-test passes."""
+names attributes the package has, its self-test passes, and an oracle unit
+still does the work its layer counts pin."""
 
 import importlib
 import importlib.util
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -37,3 +41,47 @@ def test_benchmark_selftest_passes():
         timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_oracle_unit_work_counts(monkeypatch):
+    # one oracle-n5k4 unit at seed 1 does a fixed amount of work, however
+    # fast each call runs: calls are counted by wrapping the package's
+    # functions here, so the benchmark's own files stay untouched
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    import weylracah
+    from weylracah.repmat import OpMatrix, to_matrix
+    from weylracah.weyl import WeylOp
+
+    counts = Counter()
+
+    def counted(name, fn, nnz=False):
+        def wrapper(*args):
+            counts[name] += 1
+            if nnz:
+                counts["nnz_in"] += len(args[0].num) + len(args[1].num)
+            return fn(*args)
+
+        return wrapper
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("weylracah")]:
+        if getattr(module, "to_matrix", None) is to_matrix:
+            monkeypatch.setattr(module, "to_matrix", counted("to_matrix", to_matrix))
+    monkeypatch.setattr(OpMatrix, "__matmul__", counted("matmul", OpMatrix.__matmul__, nnz=True))
+    monkeypatch.setattr(OpMatrix, "commutator", counted("commutator", OpMatrix.commutator))
+    monkeypatch.setattr(WeylOp, "apply", counted("apply", WeylOp.apply))
+
+    class Clock:
+        def mark(self):
+            return SimpleNamespace(busy=time.perf_counter(), probes=0)
+
+    oracle = workloads.MatrixOracle()
+    state = {**oracle.setup(weylracah, 1), "speed": Clock()}
+    ops = oracle.unit(weylracah, state, 0)
+    assert len(ops) == oracle.expected and all(op.ok for op in ops)
+    assert counts == {
+        "to_matrix": 56, "matmul": 117, "nnz_in": 9505, "commutator": 301, "apply": 1960,
+    }

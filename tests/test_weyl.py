@@ -8,6 +8,7 @@ from helpers import diff, random_poly, random_weyl
 from weylracah import (
     ContextMismatchError,
     DmContext,
+    MonomialOverflowError,
     Poly,
     RacahContext,
     Ring,
@@ -15,6 +16,7 @@ from weylracah import (
     elaborate,
     parse,
 )
+from weylracah.poly import MAX_DEGREE
 
 
 @pytest.fixture
@@ -170,6 +172,27 @@ def test_dimension_mismatch(ring):
         WeylOp.partial(ring, 1) * WeylOp.partial(other, 1)
     with pytest.raises(ContextMismatchError):
         WeylOp.partial(ring, 1).apply(other.u(1))
+
+
+def test_apply_overflow_checks_only_the_terms_it_keeps(ring):
+    # d2 kills the top-degree term of p, so the old two-step path
+    # u1^2 * p.diff_multi((0, 1)) multiplies u1^2 by 1 and raises nothing;
+    # a check against p's own leading degree would raise here
+    u1, u2 = ring.u(1), ring.u(2)
+    p = u1**MAX_DEGREE + u2
+    op = WeylOp(ring, {(0, 1): u1**2})
+    assert op.apply(p) == u1**2 == u1**2 * p.diff_multi((0, 1))
+    # a kept term that lands on the limit passes
+    at_limit = WeylOp(ring, {(0, 1): u1})
+    assert at_limit.apply(u2**MAX_DEGREE + u1) == MAX_DEGREE * u1 * u2 ** (MAX_DEGREE - 1)
+    # one past it raises, with the message of the product it stands for
+    with pytest.raises(MonomialOverflowError) as expected:
+        u1**2 * (u2**MAX_DEGREE).diff_multi((0, 1))
+    with pytest.raises(MonomialOverflowError, match=f"degree {MAX_DEGREE + 1} exceeds") as raised:
+        op.apply(u2**MAX_DEGREE + u1)
+    assert str(raised.value) == str(expected.value)
+    with pytest.raises(MonomialOverflowError):  # a multiplication operator keeps every term
+        WeylOp.from_poly(u1).apply(p)
 
 
 def test_subs_rejects_variables(ring):
