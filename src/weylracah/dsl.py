@@ -34,8 +34,8 @@ MAX_EXPONENT = 64
 MAX_DEPTH = 64
 # Most coefficient term pairs (WeylOp.product_work) that the products of one
 # `elaborate` call form together, or of one `commute` request with its
-# commutator; products run at about 0.5-1.5 us a pair on a 2-vCPU VM under
-# CPython 3.11.
+# commutator. The Leibniz kernel runs at about 0.3-0.5 us a pair with integer
+# coefficients and about 2 us with Fraction ones, on a 2-vCPU VM under CPython 3.11.
 MAX_PRODUCT_WORK = 2_000_000
 
 

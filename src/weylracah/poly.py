@@ -53,6 +53,20 @@ def _as_rat(value) -> int | Rat:
     return c.numerator if c.denominator == 1 else c
 
 
+def _add_products(acc: dict, a: Mapping, b: Mapping, scale) -> None:
+    """Add scale * c1 * c2 at m1 + m2 into acc for each term pair of the
+    coefficient maps a and b. A sum that cancels stays in acc as a zero, for
+    the caller to drop once it has added everything."""
+    get = acc.get
+    for m1, c1 in a.items():
+        if scale != 1:
+            c1 = c1 * scale
+        for m2, c2 in b.items():
+            key = m1 + m2
+            old = get(key)
+            acc[key] = c1 * c2 if old is None else old + c1 * c2
+
+
 class Ring:
     """Ambient ring Q[u1..um, k, nu1..nun].
 
@@ -333,19 +347,9 @@ class Poly(SparseSum):
         a, b = self.terms, other.terms
         self.ring.check_product(max(a, default=0), max(b, default=0))
         out = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                key = m1 + m2
-                c = c1 * c2
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
+        _add_products(out, a, b, 1)
+        if not all(out.values()):
+            out = {key: c for key, c in out.items() if c}
         return Poly(self.ring, out, _trusted=True)
 
     __rmul__ = __mul__

@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product
+from operator import add, sub
 from typing import Mapping
 
-from .poly import MAX_DEGREE, SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum
+from .poly import (MAX_DEGREE, SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum,
+                   _add_products)
 
 __all__ = ["WeylOp"]
 
@@ -114,9 +116,7 @@ class WeylOp(SparseSum):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple, Poly] = {}
-        self._leibniz(other, out, 0)
-        return WeylOp(self.ring, out, _trusted=True)
+        return self._leibniz(other, 0)
 
     def _u_degrees(self, left: "WeylOp") -> tuple:
         """The largest exponent of each u-variable over all coefficients,
@@ -127,9 +127,10 @@ class WeylOp(SparseSum):
         return self.ring.capped_degrees(monomials, map(max, zip(*left.terms)))
 
     def product_work(self, other: "WeylOp", start: int = 0) -> int:
-        """Coefficient term pairs that `_leibniz(other, out, start)` can form:
-        each term of self meets each term of other once per gamma of its
-        Leibniz expansion, leaving out gamma = 0 when start is 1."""
+        """Coefficient term pairs that the Leibniz kernel `_leibniz` can form
+        composing self after other: each term of self meets each term of
+        other once per gamma of its Leibniz expansion, leaving out gamma = 0
+        when start is 1, as each order of a commutator does."""
         top = other._u_degrees(self)
         size = sum(len(q.terms) for q in other.terms.values())
         return size * sum(
@@ -137,45 +138,54 @@ class WeylOp(SparseSum):
             for alpha, p in self.terms.items()
         )
 
-    def _leibniz(self, other: "WeylOp", out: dict, start: int) -> None:
-        """Add the Leibniz terms of self after other into `out`.
+    def _leibniz(self, other: "WeylOp", start: int) -> "WeylOp":
+        """self after other, or with start=1 their commutator: the Leibniz
+        kernel over raw coefficient maps.
 
         d^alpha (q d^beta) expands into
         sum_{gamma <= alpha} C(alpha, gamma) (d^gamma q) d^(alpha - gamma + beta).
-        gamma = 0 comes first in each expansion; start=1 leaves it out.
+        gamma = 0 comes first in each expansion; start=1 leaves it out of
+        both orders, since self*other and other*self share p q d^(alpha+beta)
+        for every term pair, and adds other after self with sign -1. Each
+        derivative exponent keeps one {monomial: coefficient} map, into
+        which every term pair adds weight * c1 * c2 directly; zeros are dropped
+        once, at the end. Each (p, d^gamma q) pair formed is degree-checked as
+        the product p * d^gamma q would be; a vanishing d^gamma q forms none.
         """
-        deriv_cache: dict[tuple, Poly] = {}
-        b_items = list(other.terms.items())
-        top = other._u_degrees(self)
-        for alpha, p in self.terms.items():
-            expansions = _lower_exponents(alpha, top)[start:]
-            if not expansions:
-                continue
-            for beta, q in b_items:
-                for gamma, weight in expansions:
-                    if any(gamma):
-                        key = (beta, gamma)
-                        dq = deriv_cache.get(key)
+        ring = self.ring
+        out: dict[tuple, dict] = {}
+        for left, right, sign in ((self, other, 1), (other, self, -1))[: start + 1]:
+            derivs: dict[tuple, tuple] = {}  # (beta, gamma) -> (d^gamma q).terms and its lead
+            top = right._u_degrees(left)
+            for alpha, p in left.terms.items():
+                expansions = [
+                    (gamma, sign * weight, tuple(map(sub, alpha, gamma)))
+                    for gamma, weight in _lower_exponents(alpha, top)[start:]
+                ]
+                if not expansions:
+                    continue
+                lead = max(p.terms)
+                for beta, q in right.terms.items():
+                    for gamma, weight, rest in expansions:
+                        dq = derivs.get((beta, gamma))
                         if dq is None:
-                            dq = q.diff_multi(gamma)
-                            deriv_cache[key] = dq
-                        if not dq:
+                            terms = (q.diff_multi(gamma) if any(gamma) else q).terms
+                            dq = derivs[beta, gamma] = (terms, max(terms, default=-1))
+                        if dq[1] < 0:
                             continue
-                        piece = p * dq
-                        if weight != 1:
-                            piece = piece * weight
-                    else:
-                        piece = p * q
-                    exp = tuple(a - g + b for a, g, b in zip(alpha, gamma, beta))
-                    acc = out.get(exp)
-                    if acc is None:
-                        out[exp] = piece
-                    else:
-                        acc = acc + piece
-                        if acc:
-                            out[exp] = acc
-                        else:
-                            del out[exp]
+                        ring.check_product(lead, dq[1])
+                        exp = tuple(map(add, rest, beta))
+                        acc = out.get(exp)
+                        if acc is None:
+                            acc = out[exp] = {}
+                        _add_products(acc, p.terms, dq[0], weight)
+        terms = {}
+        for exp, acc in out.items():
+            if not all(acc.values()):
+                acc = {m: c for m, c in acc.items() if c}
+            if acc:
+                terms[exp] = Poly(ring, acc, _trusted=True)
+        return WeylOp(ring, terms, _trusted=True)
 
     def __rmul__(self, other):
         if type(other) in SCALAR_TYPES:
@@ -194,10 +204,7 @@ class WeylOp(SparseSum):
         op = self._coerce(other)
         if op is None:
             raise TypeError(f"no commutator of WeylOp with {type(other).__name__}")
-        out: dict[tuple, Poly] = {}
-        self._leibniz(op, out, 1)
-        (-op)._leibniz(self, out, 1)
-        return WeylOp(self.ring, out, _trusted=True)
+        return self._leibniz(op, 1)
 
     def apply(self, p: Poly) -> Poly:
         """Act on a polynomial: sum_alpha p_alpha * (d^alpha p), in one pass.

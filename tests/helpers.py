@@ -1,7 +1,9 @@
 """Deterministic random generators shared by the test modules, and small
 functions only the tests call."""
 
+import math
 import random
+from itertools import product
 
 from weylracah import Poly, Rat, Ring, SlElement, WeylOp
 from weylracah.poly import MAX_DEGREE
@@ -108,3 +110,21 @@ def sl_from_matrix(m: int, mat) -> SlElement:
     """The sl_m element with this m x m matrix (a list of rows)."""
     entries = {(i + 1, j + 1): mat[i][j] for i in range(m) for j in range(m)}
     return SlElement._from_entries(m, entries)
+
+
+def reference_leibniz(left: WeylOp, right: WeylOp, start: int = 0) -> WeylOp:
+    """left after right, one Poly product per (term, term, gamma) piece and
+    the pieces summed as Polys: sum C(alpha, gamma) (p * d^gamma q) d^(alpha -
+    gamma + beta) over every gamma <= alpha; start=1 leaves out gamma = 0, as
+    each order of a commutator does."""
+    ring = left.ring
+    total = WeylOp.zero(ring)
+    for alpha, p in left.terms.items():
+        for gamma in list(product(*(range(a + 1) for a in alpha)))[start:]:
+            weight = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
+            for beta, q in right.terms.items():
+                dq = q.diff_multi(gamma)
+                if dq:
+                    exp = tuple(a - g + b for a, g, b in zip(alpha, gamma, beta))
+                    total = total + WeylOp(ring, {exp: p * dq * weight})
+    return total

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import diff, random_weyl
+from helpers import diff, random_weyl, reference_leibniz
 from weylracah import (
     OpMatrix,
     Poly,
@@ -131,6 +131,52 @@ def test_apply_matches_two_step_reference(case):
     assert image == reference
     assert all(image.terms.values())
     assert WeylOp.zero(RING).apply(p) == RING.zero() == op.apply(RING.zero())
+
+
+u_free_polys = st.dictionaries(
+    st.tuples(st.just(0), st.just(0), st.integers(0, 2), st.integers(0, 2)), rationals, max_size=3
+).map(lambda d: Poly(RING, d))
+
+
+@st.composite
+def leibniz_cases(draw):
+    """Two operators. Half the pairs gain r d^alpha + r d^beta on the left and
+    q d^beta - q d^alpha on the right, with q free of u, so the two gamma = 0
+    pieces r q d^(alpha+beta) cancel exactly."""
+    a, b = draw(weyl_ops), draw(weyl_ops)
+    if draw(st.booleans()):
+        alpha, r, q = draw(d_exponents), draw(polys), draw(u_free_polys)
+        beta = draw(d_exponents.filter(lambda e: e != alpha))
+        a = a + WeylOp(RING, {alpha: r, beta: r})
+        b = b + WeylOp(RING, {beta: q, alpha: -q})
+    return a, b
+
+
+def assert_normal(op):
+    """No zero coefficient polynomial, so no empty exponent, and no zero term."""
+    assert all(p and all(p.terms.values()) for p in op.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(leibniz_cases(), polys, rationals)
+def test_leibniz_kernel_matches_poly_reference(case, p, c):
+    # the fused kernel against Poly products of d^gamma q summed as Polys
+    a, b = case
+    for left, right in ((a, b), (b, a), (a, a), (a, WeylOp.zero(RING)), (WeylOp.zero(RING), b)):
+        product = left * right
+        assert product == reference_leibniz(left, right)
+        commutator = left.commutator(right)
+        assert commutator == reference_leibniz(left, right, 1) - reference_leibniz(right, left, 1)
+        assert_normal(product)
+        assert_normal(commutator)
+    # Poly and scalar operands stand for multiplication operators
+    for other in (p, c, 0, 3):
+        as_op = WeylOp.from_poly(other if isinstance(other, Poly) else RING.const(other))
+        assert a * other == reference_leibniz(a, as_op)
+        assert other * a == reference_leibniz(as_op, a)
+        assert a.commutator(other) == reference_leibniz(a, as_op, 1) - reference_leibniz(as_op, a, 1)
+        for op in (a * other, other * a, a.commutator(other)):
+            assert_normal(op)
 
 
 @given(weyl_ops, weyl_ops)

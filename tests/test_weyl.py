@@ -195,6 +195,45 @@ def test_apply_overflow_checks_only_the_terms_it_keeps(ring):
         WeylOp.from_poly(u1).apply(p)
 
 
+def test_leibniz_overflow_checks_only_the_pairs_it_forms(ring, monkeypatch):
+    # a product forms every term pair at gamma = 0, where d^gamma q is q
+    # itself, so a pair whose every formed derivative vanishes needs a
+    # commutator, which leaves gamma = 0 out
+    u1, u2 = ring.u(1), ring.u(2)
+    top = u1**MAX_DEGREE
+    a, b = WeylOp(ring, {(1, 0): top}), WeylOp(ring, {(0, 0): u2, (0, 1): u1})
+    commutator = WeylOp(ring, {(0, 1): top})
+    checks = []
+    check_product = Ring.check_product
+
+    def counted(self, m1, m2):
+        checks.append((m1, m2))
+        return check_product(self, m1, m2)
+
+    monkeypatch.setattr(Ring, "check_product", counted)
+    # u1^MAX u2 passes the limit, but d1 u2 vanishes, so that pair is never
+    # checked; the pair with d1 u1 = 1 lands exactly on the limit
+    assert a.commutator(b) == commutator
+    assert len(checks) == 1
+    with pytest.raises(MonomialOverflowError):
+        a * b
+    # a product pair at the limit passes
+    at_limit = WeylOp(ring, {(1, 0): u1 ** (MAX_DEGREE - 1)}) * u1
+    assert at_limit == WeylOp(ring, {(1, 0): top, (0, 0): u1 ** (MAX_DEGREE - 1)})
+    # one past it raises, with the message of the Poly product it stands for:
+    # d2 (u1 u2) = u1 meets u1^MAX, degree MAX + 1, though u1^MAX u1 u2 has MAX + 2
+    with pytest.raises(MonomialOverflowError) as expected:
+        top * (u1 * u2).diff_multi((0, 1))
+    with pytest.raises(MonomialOverflowError, match=f"degree {MAX_DEGREE + 1} exceeds") as raised:
+        WeylOp(ring, {(0, 1): top}).commutator(u1 * u2)
+    assert str(raised.value) == str(expected.value)
+    with pytest.raises(MonomialOverflowError) as expected:
+        top * u1
+    with pytest.raises(MonomialOverflowError) as raised:
+        a * u1
+    assert str(raised.value) == str(expected.value)
+
+
 def test_subs_rejects_variables(ring):
     ring2 = Ring(2, 1)
     op = ring2.nu(1) * WeylOp.partial(ring2, 1)
