@@ -137,34 +137,80 @@ class RacahContext:
             self._brackets[p, q] = self.c_set(p).commutator(self.c_set(q))
         return self._brackets[p, q]
 
-    def bracket_term(self, p: tuple, q: tuple) -> tuple[tuple, int]:
-        """(key, sign) with [C_p, C_q] = sign * pair_commutator(*key). A triple
-        t = p | q is cyclic when [C_ij,C_jk] = [C_jk,C_ik] = [C_ik,C_ij]; the
-        table keeps only the first, and each entry inside t is +- it, + when q
-        follows p in the cycle. A triple that is not cyclic reads its own entries."""
-        t = tuple(sorted({*p, *q}))
-        if len(t) == 3:
-            ij, jk, ik = cycle = (t[:2], t[1:], t[::2])
-            if t not in self._cyclic:
-                cs = self.c_set
-                g = self.pair_commutator(ij, jk)
-                self._cyclic[t] = g == cs(jk).commutator(cs(ik)) == cs(ik).commutator(cs(ij))
-            if self._cyclic[t]:
-                return (ij, jk), 1 if (cycle.index(q) - cycle.index(p)) % 3 == 1 else -1
-        return (min(p, q), max(p, q)), 1 if p < q else -1
+    def is_cyclic(self, t: tuple) -> bool:
+        """Whether [C_ij,C_jk] = [C_jk,C_ik] = [C_ik,C_ij] for the sorted
+        triple t, certified once; the table keeps only the first."""
+        if t not in self._cyclic:
+            ij, jk, ik = _cycle(t)
+            cs = self.c_set
+            g = self.pair_commutator(ij, jk)
+            self._cyclic[t] = g == cs(jk).commutator(cs(ik)) == cs(ik).commutator(cs(ij))
+        return self._cyclic[t]
 
     def set_commutator(self, A: Iterable[int], B: Iterable[int]) -> WeylOp:
-        """[C_A, C_B] from the pair table. Singleton Casimirs are central, so it
-        is the sum of [C_p, C_q] over pairs p of A and q of B, p != q; every
-        entry the sum reads is built, even where its weight cancels."""
+        """[C_A, C_B] = sum of [C_p, C_q] over pairs p of A, q != p of B, as
+        singleton Casimirs are central. Every entry read is built, with its net
+        weight (`table_weights`); a triple that is not cyclic reads its own
+        entries. If every triple read is cyclic with weight 0 and every disjoint
+        entry of nonzero weight is zero, no operator is added and it returns
+        zero; otherwise it sums the weighted entries.
+
+        The racah checks cancel. If A and B are disjoint, no p and q share an
+        index, so no triple is read. If A lies in B and a triple t meets A in
+        one pair p, the other two pairs of t lie in B and follow and precede p
+        in the cycle ij -> jk -> ik, so their signs cancel; if t lies in A,
+        each unordered pair of its pairs appears in both orders.
+        """
+        a, b = self.subset_key(A), self.subset_key(B)
+        triples, disjoint = table_weights(a, b)
         weights: dict = {}
-        pairs_a, pairs_b = (combinations(self.subset_key(S), 2) for S in (A, B))
-        for p, q in product(pairs_a, pairs_b):
-            if p != q:
-                key, sign = self.bracket_term(p, q)
-                weights[key] = weights.get(key, 0) + sign
-        terms = (self.pair_commutator(*key) * w for key, w in weights.items())
-        return sum(terms, WeylOp.zero(self.ring))
+        for t, w in triples.items():
+            if not self.is_cyclic(t):
+                for p, q in combinations(sorted(_cycle(t)), 2):
+                    x = {*p} <= {*a} and {*q} <= {*b}
+                    y = {*q} <= {*a} and {*p} <= {*b}
+                    if x or y:
+                        weights[p, q] = x - y
+            elif w:
+                weights[t[:2], t[1:]] = w
+        for key, w in disjoint.items():
+            if self.pair_commutator(*key) and w:
+                weights[key] = w
+        zero = WeylOp.zero(self.ring)
+        if not weights:
+            return zero
+        return sum((self.pair_commutator(*key) * w for key, w in weights.items()), zero)
+
+
+def _cycle(t: tuple) -> tuple:
+    """The pairs ij, jk, ik of a sorted triple, in the order of its cycle."""
+    return t[:2], t[1:], t[::2]
+
+
+def table_weights(a: tuple, b: tuple) -> tuple[dict, dict]:
+    """The entries that [C_a, C_b] reads, with net weights: ({t: w_t}, {(p, q):
+    w}). A triple t is read when pairs p != q of t lie in a and in b; w_t adds
+    +1 where q follows p in the cycle of t, else -1, so it is 0 if t lies in a
+    or in b, and the sign of the one (p, q) if t = {i, x, y} with i in both, x
+    only in a and y only in b. (p, q) in a x b adds +-1 to a disjoint entry."""
+    triples: dict = {}
+    disjoint: dict = {}
+    if len(a) < 2 or len(b) < 2:  # no pairs, so nothing is read
+        return triples, disjoint
+    sa, sb = set(a), set(b)
+    both = sorted(sa & sb)
+    for p in combinations(both, 2):
+        for x in (sa | sb) - {*p}:
+            triples[tuple(sorted((*p, x)))] = 0
+    for i, x, y in product(both, sa - sb, sb - sa):
+        t = tuple(sorted((i, x, y)))
+        p, q = (_cycle(t).index(tuple(sorted((i, z)))) for z in (x, y))
+        triples[t] = 1 if (q - p) % 3 == 1 else -1
+    for p in combinations(a, 2):
+        for q in combinations([x for x in b if x not in p], 2):
+            key, sign = ((p, q), 1) if p < q else ((q, p), -1)
+            disjoint[key] = disjoint.get(key, 0) + sign
+    return triples, disjoint
 
 
 def check_racah_structure(ctx: RacahContext) -> Report:

@@ -43,13 +43,15 @@ class WeylOp(SparseSum):
     """Element of the Weyl algebra over a ring's u-variables, in normal form.
 
     Sums, negation, equality and powers come from SparseSum; the product is
-    normal-ordered composition.
+    normal-ordered composition. `_derivs`, derived data and not part of `==`,
+    maps (beta, gamma) to the terms and lead of d^gamma of the coefficient of
+    d^beta, filled by `_leibniz` when the operator is its right operand.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_derivs")
 
     def __init__(self, ring: Ring, terms: Mapping[tuple, Poly], *, _trusted=False):
-        self.ring = ring
+        self.ring, self._derivs = ring, None
         if _trusted:
             self.terms = terms
             return
@@ -151,11 +153,14 @@ class WeylOp(SparseSum):
         which every term pair adds weight * c1 * c2 directly; zeros are dropped
         once, at the end. Each (p, d^gamma q) pair formed is degree-checked as
         the product p * d^gamma q would be; a vanishing d^gamma q forms none.
+        Each d^gamma q is taken once per right operand, in its `_derivs` table.
         """
         ring = self.ring
         out: dict[tuple, dict] = {}
         for left, right, sign in ((self, other, 1), (other, self, -1))[: start + 1]:
-            derivs: dict[tuple, tuple] = {}  # (beta, gamma) -> (d^gamma q).terms and its lead
+            derivs = right._derivs
+            if derivs is None:
+                derivs = right._derivs = {}
             top = right._u_degrees(left)
             for alpha, p in left.terms.items():
                 expansions = [

@@ -9,6 +9,7 @@ Each test here compares one of these against the plain definition.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -29,6 +30,7 @@ from weylracah import (
     print_canonical,
     to_matrix,
 )
+from weylracah.racah import table_weights
 from weylracah.sln import GenEuler, ProdNode, euler_tree, nonempty_subsets
 
 
@@ -148,6 +150,79 @@ def test_perturbed_pair_fails_the_same_checks_on_both_paths():
     assert rows[False] == rows[True]
     assert any(not equal for _, _, _, equal in rows[False])
     assert False in contexts[False]._cyclic.values()
+
+
+def racah_pairs(n: int):
+    """(id, A, B) of every check of the racah suite at n."""
+    subsets = nonempty_subsets(n)
+    for pos, A in enumerate(subsets):
+        for B in subsets[pos:]:
+            set_a, set_b = set(A), set(B)
+            kind = "nested" if set_a & set_b else "disjoint"
+            if kind == "disjoint" or set_a <= set_b or set_b <= set_a:
+                yield f"{kind}:{set_a}|{set_b}", A, B
+
+
+def test_failing_disjoint_entry_fails_exactly_its_readers():
+    # a nonzero [C_12, C_34] fails the checks that read it with a nonzero
+    # net weight, and only those: +1 from 12 in A and 34 in B, -1 from the
+    # reverse; a check that reads it both ways still certifies zero
+    ctx = RacahContext(5)
+    p, q = (1, 2), (3, 4)
+    ctx._brackets[p, q] = WeylOp.partial(ctx.ring, 1)
+    weights = {}
+    for check_id, A, B in racah_pairs(5):
+        w = (set(p) <= set(A) and set(q) <= set(B)) - (set(q) <= set(A) and set(p) <= set(B))
+        if w:
+            weights[check_id] = w
+    checks = check_racah_structure(ctx).checks
+    assert len(checks) == 301
+    assert {c.id for c in checks if not c.equal} == set(weights)
+    assert set(weights.values()) == {-1, 1}
+    for c in checks:
+        if not c.equal:
+            assert c.lhs == repr(weights[c.id] * ctx._brackets[p, q])
+
+
+def pair_loop_weights(a: tuple, b: tuple) -> tuple[dict, dict]:
+    """The weights of the pair-by-pair expansion of [C_a, C_b] with every
+    triple cyclic: each (p, q) adds its cycle sign to its triple, or its
+    order sign to its disjoint entry."""
+    triples, disjoint = {}, {}
+    for p in combinations(a, 2):
+        for q in combinations(b, 2):
+            if p == q:
+                continue
+            t = tuple(sorted({*p, *q}))
+            if len(t) == 3:
+                cycle = [t[:2], t[1:], t[::2]]
+                sign = 1 if (cycle.index(q) - cycle.index(p)) % 3 == 1 else -1
+                triples[t] = triples.get(t, 0) + sign
+            else:
+                key, sign = ((p, q), 1) if p < q else ((q, p), -1)
+                disjoint[key] = disjoint.get(key, 0) + sign
+    return triples, disjoint
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_triple_weights_match_pair_loop(n):
+    # every racah check reads its triples with weight 0
+    for _, A, B in racah_pairs(n):
+        triples, disjoint = table_weights(A, B)
+        assert (triples, disjoint) == pair_loop_weights(A, B), (A, B)
+        assert not any(triples.values())
+
+
+def test_triple_weights_match_pair_loop_on_overlapping_subsets():
+    # subsets that overlap without nesting read triples of weight +-1
+    subsets = nonempty_subsets(5)
+    signs = set()
+    for A in subsets:
+        for B in subsets:
+            triples, disjoint = table_weights(A, B)
+            assert (triples, disjoint) == pair_loop_weights(A, B), (A, B)
+            signs.update(triples.values())
+    assert signs == {-1, 0, 1}
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -179,6 +179,33 @@ def test_leibniz_kernel_matches_poly_reference(case, p, c):
             assert_normal(op)
 
 
+def fresh(op: WeylOp) -> WeylOp:
+    """The same operator with an empty derivative table."""
+    return WeylOp(RING, dict(op.terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weyl_ops, st.lists(weyl_ops, min_size=1, max_size=4))
+def test_derivative_table_serves_later_calls(right, lefts):
+    # one operator is the right operand of every call, in both orders; the
+    # i-th left operand differentiates i orders deeper in each variable, so
+    # later calls need gammas that the table filled so far lacks
+    deeper = WeylOp(RING, {(1, 1): RING.one()})
+    for depth, left in enumerate(lefts):
+        left = left * deeper**depth
+        a, b = fresh(left), fresh(right)
+        assert left * right == reference_leibniz(a, b)
+        assert right * left == reference_leibniz(b, a)
+        expected = reference_leibniz(a, b, 1) - reference_leibniz(b, a, 1)
+        assert left.commutator(right) == expected
+        assert right.commutator(left) == -expected
+    # every derivative the table holds is the one it stands for
+    for (beta, gamma), (terms, lead) in (right._derivs or {}).items():
+        assert terms == right.terms[beta].diff_multi(gamma).terms
+        assert lead == max(terms, default=-1)
+    assert right == fresh(right)
+
+
 @given(weyl_ops, weyl_ops)
 def test_commutator_matches_direct_path(a, b):
     assert a.commutator(b) == a * b - b * a

@@ -85,3 +85,51 @@ def test_oracle_unit_work_counts(monkeypatch):
     assert counts == {
         "to_matrix": 56, "matmul": 117, "nnz_in": 9505, "commutator": 301, "apply": 1960,
     }
+
+
+def test_racah_unit_work_counts(monkeypatch):
+    # one racah-n5 unit: 45 table commutators, each d^gamma q of a pair
+    # Casimir formed once in that operator's derivative table, and no
+    # operator added by set_commutator itself, since every entry certifies;
+    # the sums that build a pair Casimir in the first check to read it are
+    # not set_commutator's
+    from weylracah.poly import Poly
+    from weylracah.racah import RacahContext, check_racah_structure
+    from weylracah.weyl import WeylOp
+
+    counts = Counter()
+    inside = []
+    diff_multi, commutator, add = Poly.diff_multi, WeylOp.commutator, WeylOp.__add__
+
+    def counted_diff(self, gamma):
+        counts["diff_multi"] += any(gamma)
+        return diff_multi(self, gamma)
+
+    def counted_commutator(self, other):
+        counts["commutator"] += 1
+        return commutator(self, other)
+
+    def counted_add(self, other):
+        counts["set_commutator_adds"] += inside[-1:] == ["set_commutator"]
+        return add(self, other)
+
+    def marked(name):
+        fn = getattr(RacahContext, name)
+
+        def wrapper(*args):
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    monkeypatch.setattr(Poly, "diff_multi", counted_diff)
+    monkeypatch.setattr(WeylOp, "commutator", counted_commutator)
+    monkeypatch.setattr(WeylOp, "__add__", counted_add)
+    for name in ("set_commutator", "c_pair"):
+        monkeypatch.setattr(RacahContext, name, marked(name))
+    report = check_racah_structure(RacahContext(5))
+    assert len(report.checks) == 301 and all(c.equal for c in report.checks)
+    assert counts == Counter(commutator=45, diff_multi=554, set_commutator_adds=0)

@@ -234,6 +234,41 @@ def test_leibniz_overflow_checks_only_the_pairs_it_forms(ring, monkeypatch):
     assert str(raised.value) == str(expected.value)
 
 
+def test_cached_derivative_still_checks_overflow(ring):
+    # a harmless product fills b's table with d2 (u1 u2) = u1; a left operand
+    # of top degree that meets the cached u1 raises the text of its product
+    u1, u2 = ring.u(1), ring.u(2)
+    top = u1**MAX_DEGREE
+    b = WeylOp.from_poly(u1 * u2)
+    assert WeylOp(ring, {(0, 1): u1}) * b == WeylOp(ring, {(0, 1): u1**2 * u2, (0, 0): u1**2})
+    assert ((0, 0), (0, 1)) in b._derivs
+    with pytest.raises(MonomialOverflowError) as expected:
+        top * (u1 * u2).diff_multi((0, 1))
+    with pytest.raises(MonomialOverflowError, match=f"degree {MAX_DEGREE + 1} exceeds") as raised:
+        WeylOp(ring, {(0, 1): top}).commutator(b)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_cached_vanishing_derivative_costs_no_check(ring, monkeypatch):
+    # d1 u2 = 0 is cached by a first commutator; the second call still
+    # forms no pair with it, and checks only the pair with d1 u1 = 1
+    u1, u2 = ring.u(1), ring.u(2)
+    top = u1**MAX_DEGREE
+    b = WeylOp(ring, {(0, 0): u2, (0, 1): u1})
+    WeylOp(ring, {(1, 0): u1}).commutator(b)
+    assert b._derivs[(0, 0), (1, 0)] == ({}, -1)
+    checks = []
+    check_product = Ring.check_product
+
+    def counted(self, m1, m2):
+        checks.append((m1, m2))
+        return check_product(self, m1, m2)
+
+    monkeypatch.setattr(Ring, "check_product", counted)
+    assert WeylOp(ring, {(1, 0): top}).commutator(b) == WeylOp(ring, {(0, 1): top})
+    assert len(checks) == 1
+
+
 def test_subs_rejects_variables(ring):
     ring2 = Ring(2, 1)
     op = ring2.nu(1) * WeylOp.partial(ring2, 1)
