@@ -8,7 +8,7 @@ n-1, both u_{n-1} and its derivative are taken to be zero.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations
 from operator import add
 from typing import Callable, Iterable
 
@@ -139,77 +139,69 @@ class RacahContext:
 
     def is_cyclic(self, t: tuple) -> bool:
         """Whether [C_ij,C_jk] = [C_jk,C_ik] = [C_ik,C_ij] for the sorted
-        triple t, certified once; the table keeps only the first."""
+        triple t = (i, j, k), certified once; the table keeps only the first."""
         if t not in self._cyclic:
-            ij, jk, ik = _cycle(t)
+            ij, jk, ik = t[:2], t[1:], t[::2]
             cs = self.c_set
             g = self.pair_commutator(ij, jk)
             self._cyclic[t] = g == cs(jk).commutator(cs(ik)) == cs(ik).commutator(cs(ij))
         return self._cyclic[t]
 
     def set_commutator(self, A: Iterable[int], B: Iterable[int]) -> WeylOp:
-        """[C_A, C_B] = sum of [C_p, C_q] over pairs p of A, q != p of B, as
-        singleton Casimirs are central. Every entry read is built, with its net
-        weight (`table_weights`); a triple that is not cyclic reads its own
-        entries. If every triple read is cyclic with weight 0 and every disjoint
-        entry of nonzero weight is zero, no operator is added and it returns
-        zero; otherwise it sums the weighted entries.
+        """[C_A, C_B], the sum of [C_p, C_q] over pairs p of A and q of B, as
+        singleton Casimirs are central. For disjoint or nested A and B every
+        entry read (`table_reads`) is built; if every triple read is cyclic
+        and every disjoint entry read is zero, it returns zero. Otherwise it
+        returns the pair sum read from the table, without zero entries and
+        the terms below that cancel.
 
-        The racah checks cancel. If A and B are disjoint, no p and q share an
-        index, so no triple is read. If A lies in B and a triple t meets A in
-        one pair p, the other two pairs of t lie in B and follow and precede p
-        in the cycle ij -> jk -> ik, so their signs cancel; if t lies in A,
-        each unordered pair of its pairs appears in both orders.
+        Terms with p and q both in A & B cancel in pairs, as [C_q, C_p] =
+        -[C_p, C_q]. On disjoint or nested A and B, so do the other terms of
+        a cyclic triple t: there [C_p, C_q] = +-[C_ij, C_jk], + when q follows
+        p in the cycle ij -> jk -> ik. If A and B are disjoint, no p and q
+        share a factor. If A lies in B (the other way flips every sign), a
+        term of t outside A & B has p = t & A, a pair, and q one of the other
+        two pairs of t, one following and one preceding p. So where every
+        triple is cyclic, only the disjoint entries are left.
         """
         a, b = self.subset_key(A), self.subset_key(B)
-        triples, disjoint = table_weights(a, b)
-        weights: dict = {}
-        for t, w in triples.items():
-            if not self.is_cyclic(t):
-                for p, q in combinations(sorted(_cycle(t)), 2):
-                    x = {*p} <= {*a} and {*q} <= {*b}
-                    y = {*q} <= {*a} and {*p} <= {*b}
-                    if x or y:
-                        weights[p, q] = x - y
-            elif w:
-                weights[t[:2], t[1:]] = w
-        for key, w in disjoint.items():
-            if self.pair_commutator(*key) and w:
-                weights[key] = w
-        zero = WeylOp.zero(self.ring)
-        if not weights:
-            return zero
-        return sum((self.pair_commutator(*key) * w for key, w in weights.items()), zero)
+        reads = table_reads(a, b)
+        if reads is not None:
+            cyclic = [self.is_cyclic(t) for t in reads[0]]
+            entries = [self.pair_commutator(*key) for key in reads[1]]
+            if all(cyclic) and not any(entries):
+                return WeylOp.zero(self.ring)
+        both = set(a) & set(b)
+        terms = []
+        for p in combinations(a, 2):
+            for q in combinations(b, 2):
+                t = tuple(sorted({*p, *q}))
+                if {*t} <= both or len(t) == 3 and reads is not None and self.is_cyclic(t):
+                    continue
+                entry = self.pair_commutator(min(p, q), max(p, q))
+                if entry:
+                    terms.append(entry if p < q else -entry)
+        return sum(terms, WeylOp.zero(self.ring))
 
 
-def _cycle(t: tuple) -> tuple:
-    """The pairs ij, jk, ik of a sorted triple, in the order of its cycle."""
-    return t[:2], t[1:], t[::2]
-
-
-def table_weights(a: tuple, b: tuple) -> tuple[dict, dict]:
-    """The entries that [C_a, C_b] reads, with net weights: ({t: w_t}, {(p, q):
-    w}). A triple t is read when pairs p != q of t lie in a and in b; w_t adds
-    +1 where q follows p in the cycle of t, else -1, so it is 0 if t lies in a
-    or in b, and the sign of the one (p, q) if t = {i, x, y} with i in both, x
-    only in a and y only in b. (p, q) in a x b adds +-1 to a disjoint entry."""
-    triples: dict = {}
-    disjoint: dict = {}
-    if len(a) < 2 or len(b) < 2:  # no pairs, so nothing is read
-        return triples, disjoint
+def table_reads(a: tuple, b: tuple) -> tuple[set, set] | None:
+    """The triples and the disjoint entries that [C_a, C_b] reads, for sorted
+    disjoint or nested subsets a and b; None if they overlap otherwise. For
+    pairs p of a and q != p of b, p | q is a triple when p and q share a
+    factor, and (min(p, q), max(p, q)) a disjoint entry when they do not."""
     sa, sb = set(a), set(b)
-    both = sorted(sa & sb)
-    for p in combinations(both, 2):
-        for x in (sa | sb) - {*p}:
-            triples[tuple(sorted((*p, x)))] = 0
-    for i, x, y in product(both, sa - sb, sb - sa):
-        t = tuple(sorted((i, x, y)))
-        p, q = (_cycle(t).index(tuple(sorted((i, z)))) for z in (x, y))
-        triples[t] = 1 if (q - p) % 3 == 1 else -1
-    for p in combinations(a, 2):
-        for q in combinations([x for x in b if x not in p], 2):
-            key, sign = ((p, q), 1) if p < q else ((q, p), -1)
-            disjoint[key] = disjoint.get(key, 0) + sign
+    if sa <= sb or sb <= sa:
+        inner, outer = (a, sb) if sa <= sb else (b, sa)
+        triples = {tuple(sorted((*p, x))) for p in combinations(inner, 2) for x in outer - {*p}}
+    elif sa & sb:
+        return None
+    else:
+        triples = set()
+    disjoint = {
+        (p, q) if p < q else (q, p)
+        for p in combinations(a, 2)
+        for q in combinations([x for x in b if x not in p], 2)
+    }
     return triples, disjoint
 
 

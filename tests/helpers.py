@@ -5,7 +5,7 @@ import math
 import random
 from itertools import product
 
-from weylracah import Poly, Rat, Ring, SlElement, WeylOp
+from weylracah import Poly, RacahContext, Rat, Ring, SlElement, WeylOp
 from weylracah.poly import MAX_DEGREE
 
 
@@ -128,3 +128,12 @@ def reference_leibniz(left: WeylOp, right: WeylOp, start: int = 0) -> WeylOp:
                     exp = tuple(a - g + b for a, g, b in zip(alpha, gamma, beta))
                     total = total + WeylOp(ring, {exp: p * dq * weight})
     return total
+
+
+def perturbed_context(n: int) -> RacahContext:
+    """A racah context at n whose C_13 has u1 d1 added, which breaks the
+    cyclic triples through (1, 3)."""
+    ctx = RacahContext(n)
+    u1_d1 = WeylOp.from_poly(ctx.ring.u(1)) * WeylOp.partial(ctx.ring, 1)
+    ctx._pairs[(1, 3)] = (ctx.c_pair_lead(1, 3), ctx.c_pair(1, 3) + u1_d1)
+    return ctx

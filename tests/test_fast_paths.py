@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import random_weyl
+from helpers import perturbed_context, random_weyl
 from weylracah import (
     LeakageError,
     OpMatrix,
@@ -30,7 +30,7 @@ from weylracah import (
     print_canonical,
     to_matrix,
 )
-from weylracah.racah import table_weights
+from weylracah.racah import table_reads
 from weylracah.sln import GenEuler, ProdNode, euler_tree, nonempty_subsets
 
 
@@ -139,17 +139,17 @@ def test_racah_table_matches_direct_path(n):
 
 
 def test_perturbed_pair_fails_the_same_checks_on_both_paths():
-    # u1 d1 added to C_13 at n=4 breaks the cyclic triples through (1, 3):
-    # those entries fall back to the table's own operators
-    rows, contexts = {}, {}
-    for direct in (False, True):
-        ctx = contexts[direct] = RacahContext(4)
-        u1_d1 = WeylOp.from_poly(ctx.ring.u(1)) * WeylOp.partial(ctx.ring, 1)
-        ctx._pairs[(1, 3)] = (ctx.c_pair_lead(1, 3), ctx.c_pair(1, 3) + u1_d1)
-        rows[direct] = racah_rows(ctx, direct)
-    assert rows[False] == rows[True]
-    assert any(not equal for _, _, _, equal in rows[False])
-    assert False in contexts[False]._cyclic.values()
+    # u1 d1 added to C_13 at n=4 and n=5 breaks the cyclic triples through
+    # (1, 3): the checks that read them take the pair sum of the table's
+    # own entries
+    for n in (4, 5):
+        rows, contexts = {}, {}
+        for direct in (False, True):
+            ctx = contexts[direct] = perturbed_context(n)
+            rows[direct] = racah_rows(ctx, direct)
+        assert rows[False] == rows[True], n
+        assert any(not equal for _, _, _, equal in rows[False])
+        assert False in contexts[False]._cyclic.values()
 
 
 def racah_pairs(n: int):
@@ -206,23 +206,28 @@ def pair_loop_weights(a: tuple, b: tuple) -> tuple[dict, dict]:
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_triple_weights_match_pair_loop(n):
-    # every racah check reads its triples with weight 0
+    # every racah check reads the entries of its pair loop, and each of its
+    # triples with weight 0
     for _, A, B in racah_pairs(n):
-        triples, disjoint = table_weights(A, B)
-        assert (triples, disjoint) == pair_loop_weights(A, B), (A, B)
+        triples, disjoint = pair_loop_weights(A, B)
+        assert table_reads(A, B) == (set(triples), set(disjoint)), (A, B)
         assert not any(triples.values())
 
 
-def test_triple_weights_match_pair_loop_on_overlapping_subsets():
-    # subsets that overlap without nesting read triples of weight +-1
+def test_pair_sum_matches_direct_path_on_overlapping_subsets(rc5):
+    # subsets that overlap without nesting read triples of weight +-1, so
+    # no entry is certified and the pair sum keeps every term
     subsets = nonempty_subsets(5)
-    signs = set()
+    overlapping = set()
     for A in subsets:
         for B in subsets:
-            triples, disjoint = table_weights(A, B)
-            assert (triples, disjoint) == pair_loop_weights(A, B), (A, B)
-            signs.update(triples.values())
-    assert signs == {-1, 0, 1}
+            set_a, set_b = set(A), set(B)
+            if not set_a & set_b or set_a <= set_b or set_b <= set_a:
+                continue
+            overlapping.add(frozenset((A, B)))
+            assert table_reads(A, B) is None
+            assert rc5.set_commutator(A, B) == rc5.c_set(A).commutator(rc5.c_set(B)), (A, B)
+    assert len(overlapping) == 195
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -133,3 +133,33 @@ def test_racah_unit_work_counts(monkeypatch):
     report = check_racah_structure(RacahContext(5))
     assert len(report.checks) == 301 and all(c.equal for c in report.checks)
     assert counts == Counter(commutator=45, diff_multi=554, set_commutator_adds=0)
+
+
+def test_perturbed_racah_work_counts(monkeypatch):
+    # u1 d1 added to C_13 at n=5: the three triples through (1, 3) are not
+    # cyclic and 67 checks fail. Each of those triples fails its first
+    # comparison, one commutator less, and builds its two other entries for
+    # the pair sum: 45 - 3 + 6 commutators. Every WeylOp addition of the run
+    # is counted, those of the pair sums and of building the pair Casimirs
+    from helpers import perturbed_context
+    from weylracah.racah import check_racah_structure
+    from weylracah.weyl import WeylOp
+
+    ctx = perturbed_context(5)
+    counts = Counter()
+    commutator, add = WeylOp.commutator, WeylOp.__add__
+
+    def counted_commutator(self, other):
+        counts["commutator"] += 1
+        return commutator(self, other)
+
+    def counted_add(self, other):
+        counts["add"] += 1
+        return add(self, other)
+
+    monkeypatch.setattr(WeylOp, "commutator", counted_commutator)
+    monkeypatch.setattr(WeylOp, "__add__", counted_add)
+    report = check_racah_structure(ctx)
+    assert len(report.checks) == 301
+    assert sum(not c.equal for c in report.checks) == 67
+    assert counts == Counter(commutator=48, add=255)
