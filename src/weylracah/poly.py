@@ -74,7 +74,7 @@ class Ring:
     and `unpack` convert them to and from packed monomials, and `shifts[pos]`
     is the offset of symbol pos's field. Rings with equal shape are
     interchangeable. `texts` caches the printed form of monomials for
-    printing, and `_plans` caches the plans of `derivative_plan`.
+    printing, and `_plans` caches the plans of `add_derivative`.
     """
 
     __slots__ = ("num_vars", "num_nu", "names", "_index", "shifts", "degree_shift", "u_mask",
@@ -144,10 +144,15 @@ class Ring:
                 f"a product of degree {degree} exceeds the limit {MAX_DEGREE}"
             )
 
-    def derivative_plan(self, orders: tuple) -> tuple:
-        """(steps, drop) of d^orders, cached: steps pairs the field shift of
-        each differentiated variable with its order, and drop is the packed
-        amount that every monomial the derivative keeps loses."""
+    def add_derivative(self, out: dict, terms: Mapping, orders: tuple, coeff=None) -> None:
+        """Add coeff * d^orders(terms) into out, for maps of packed terms, in
+        one pass with the cached plan of d^orders (each differentiated field's
+        shift and order, and the packed amount a kept term loses): u^e goes
+        to e!/(e-o)! u^(e-o), and to zero when e < o. Without coeff each kept
+        term is assigned: distinct monomials stay distinct and no degree
+        grows. With it, as in the product coeff * d^orders(terms), the leading
+        degrees of coeff and of the kept terms must add up to at most
+        MAX_DEGREE, and a sum that cancels stays in out as a zero."""
         plan = self._plans.get(orders)
         if plan is None:
             if any(orders[self.num_vars :]):
@@ -155,7 +160,27 @@ class Ring:
             steps = tuple((self.shifts[pos], o) for pos, o in enumerate(orders) if o)
             drop = sum(o << shift for shift, o in steps) + (sum(orders) << self.degree_shift)
             plan = self._plans[orders] = (steps, drop)
-        return plan
+        steps, drop = plan
+        top = -1
+        for m, c in terms.items():
+            weight = 1
+            for shift, o in steps:
+                e = m >> shift & MAX_DEGREE
+                if e < o:
+                    break
+                weight *= math.perm(e, o)
+            else:
+                if coeff is None:
+                    out[m - drop] = c * weight
+                    continue
+                top = max(top, m)
+                m -= drop
+                c *= weight
+                for mu, a in coeff.items():
+                    key = m + mu
+                    out[key] = out.get(key, 0) + a * c
+        if top >= 0 and coeff:
+            self.check_product(max(coeff), top - drop)
 
     def capped_degrees(self, monomials: list, caps) -> tuple:
         """For each u-variable, the largest exponent over the monomials, read
@@ -355,23 +380,11 @@ class Poly(SparseSum):
     __rmul__ = __mul__
 
     def diff_multi(self, orders: tuple) -> "Poly":
-        """Iterated derivative; orders[i] applications of d/du_{i+1}.
-
-        One pass over the terms: u^e goes to e!/(e-o)! u^(e-o), and to zero
-        when e < o. Distinct monomials stay distinct, so nothing merges.
-        """
-        steps, drop = self.ring.derivative_plan(orders)
-        if not steps:
+        """Iterated derivative; orders[i] applications of d/du_{i+1}."""
+        if not any(orders):
             return self
         out = {}
-        for m, c in self.terms.items():
-            for shift, o in steps:
-                e = m >> shift & MAX_DEGREE
-                if e < o:
-                    break
-                c = c * math.perm(e, o)
-            else:
-                out[m - drop] = c
+        self.ring.add_derivative(out, self.terms, orders)
         return Poly(self.ring, out, _trusted=True)
 
     def subs(self, assignment: Mapping[str, object]) -> "Poly":
@@ -387,28 +400,16 @@ class Poly(SparseSum):
         degree_shift = ring.degree_shift
         out = {}
         for m, c in self.terms.items():
-            scale = c
             key = m
             for shift, value in steps:
                 e = m >> shift & MAX_DEGREE
                 if e:
-                    scale = scale * value**e
+                    c = c * value**e
                     key -= (e << shift) + (e << degree_shift)
-            if not scale:
-                continue
             acc = out.get(key)
-            if acc is None:
-                out[key] = scale
-            else:
-                acc = acc + scale
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        for key, c in out.items():
-            if type(c) is not int and c.denominator == 1:
-                out[key] = c.numerator
-        return Poly(ring, out, _trusted=True)
+            out[key] = c if acc is None else acc + c
+        return Poly(ring, {key: c if type(c) is int or c.denominator != 1 else c.numerator
+                           for key, c in out.items() if c}, _trusted=True)
 
     def is_u_free(self) -> bool:
         mask = self.ring.u_mask

@@ -121,8 +121,9 @@ class OpMatrix:
     __slots__ = ("size", "num", "d", "_packed")
 
     def __init__(self, size: int, terms: Mapping[tuple, Rat]):
-        if any(not (0 <= i < size and 0 <= j < size) for i, j in terms):
-            raise ValueError(f"entry position outside a {size} x {size} matrix")
+        for i, j in terms:
+            if type(i) is not int or type(j) is not int or not (0 <= i < size and 0 <= j < size):
+                raise ValueError(f"entry position {(i, j)} is not in a {size} x {size} matrix")
         entries = {key: _as_rat(c) for key, c in terms.items()}
         self.size, self._packed = size, None
         self.d = d = math.lcm(*(c.denominator for c in entries.values()))

@@ -52,17 +52,29 @@ def index_subset(indices: Iterable[int], limit: int) -> tuple[int, ...]:
 
 
 class SlElement(SparseSum):
-    """Rational combination of the trace-zero basis E_ij, H_d = E_dd - E_mm.
+    """An element of sl_m, stored as its trace-free m x m rational matrix.
 
-    `terms` maps the labels ("E", i, j) and ("H", d) to coefficients, and
-    `ring` is the rank m; sums and equality come from SparseSum.
+    `terms` maps the 1-based position (i, j) of each nonzero entry to its
+    value, and `ring` is the rank m; sums and equality come from SparseSum.
+    The basis is E_ij = {(i, j): 1} for i != j and H_d = E_dd - E_mm =
+    {(d, d): 1, (m, m): -1} for d < m; `parts` reads coefficients in it.
+    Unless _trusted, the constructor checks the positions and the trace.
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: int, terms: dict, *, _trusted=False):
         self.ring = ring
-        self.terms = terms if _trusted else {key: _as_rat(c) for key, c in terms.items() if c}
+        if not _trusted:
+            for key in terms:
+                if type(key) is not tuple or len(key) != 2 or not all(
+                        type(x) is int and 1 <= x <= ring for x in key):
+                    raise ValueError(f"{key!r} is not an entry position (i, j) with i, j in "
+                                     f"1..{ring}: E_ij is {{(i, j): 1}}, not a basis label")
+            terms = {key: _as_rat(c) for key, c in terms.items() if c}
+            if sum(c for (i, j), c in terms.items() if i == j):
+                raise ValueError("matrix is not trace-free")
+        self.terms = terms
 
     def _coerce(self, other) -> "SlElement | None":
         if not isinstance(other, SlElement):
@@ -75,13 +87,13 @@ class SlElement(SparseSum):
     def E(m: int, i: int, j: int) -> "SlElement":
         if i == j or not (1 <= i <= m and 1 <= j <= m):
             raise ValueError(f"E({i},{j}) is not a basis element of sl_{m}")
-        return SlElement(m, {("E", i, j): 1})
+        return SlElement(m, {(i, j): 1}, _trusted=True)
 
     @staticmethod
     def H(m: int, d: int) -> "SlElement":
         if not 1 <= d <= m - 1:
             raise ValueError(f"H({d}) out of range 1..{m - 1}")
-        return SlElement(m, {("H", d): 1})
+        return SlElement(m, {(d, d): 1, (m, m): -1}, _trusted=True)
 
     @staticmethod
     def basis(m: int) -> list["SlElement"]:
@@ -95,53 +107,29 @@ class SlElement(SparseSum):
         elems.extend(SlElement.H(m, d) for d in range(1, m))
         return elems
 
-    def label(self) -> str:
-        parts = []
-        for key in sorted(self.terms, key=lambda t: (t[0], t[1:])):
-            c = self.terms[key]
-            name = f"E({key[1]},{key[2]})" if key[0] == "E" else f"H({key[1]})"
-            parts.append(name if c == 1 else f"{c}*{name}")
-        return " + ".join(parts) if parts else "0"
-
-    def _entries(self) -> dict:
-        """Matrix entries {(i, j): value}: E_ij is entry (i, j), and H_d adds
-        to entry (d, d) and subtracts from entry (m, m)."""
+    def parts(self) -> list:
+        """The nonzero basis coefficients as ((i, j), c), in order: c E_ij for
+        i != j first, then c H_d as ((d, d), c) for d < m, read off entry
+        (d, d), which no other basis element has."""
         m = self.ring
-        out = {}
-        for key, c in self.terms.items():
-            if key[0] == "E":
-                out[key[1:]] = c
-            else:
-                out[(key[1], key[1])] = c
-                out[(m, m)] = out.get((m, m), 0) - c
-        return out
+        return sorted(((key, c) for key, c in self.terms.items() if key != (m, m)),
+                      key=lambda part: (part[0][0] == part[0][1], part[0]))
 
-    @staticmethod
-    def _from_entries(m: int, entries: dict) -> "SlElement":
-        """The element with these matrix entries: (i, j) gives E_ij, (d, d)
-        gives H_d, and entry (m, m) is fixed by the trace."""
-        if sum(c for (i, j), c in entries.items() if i == j):
-            raise ValueError("matrix is not trace-free")
-        terms = {}
-        for (i, j), c in entries.items():
-            if i != j:
-                terms[("E", i, j)] = c
-            elif i < m:
-                terms[("H", i)] = c
-        return SlElement(m, terms)
+    def label(self) -> str:
+        names = ((f"E({i},{j})" if i != j else f"H({i})", c) for (i, j), c in self.parts())
+        return " + ".join(name if c == 1 else f"{c}*{name}" for name, c in names) or "0"
 
     def bracket(self, other: "SlElement") -> "SlElement":
         """Lie bracket XY - YX by matrix units: E_ij E_kl = delta_jk E_il."""
         self._coerce(other)  # raises on a rank mismatch
-        x, y = self._entries(), other._entries()
         out = {}
-        for (i, j), a in x.items():
-            for (k, l), b in y.items():
+        for (i, j), a in self.terms.items():
+            for (k, l), b in other.terms.items():
                 if j == k:
                     out[(i, l)] = out.get((i, l), 0) + a * b
                 if l == i:
                     out[(k, j)] = out.get((k, j), 0) - b * a
-        return SlElement._from_entries(self.ring, out)
+        return SlElement(self.ring, {key: c for key, c in out.items() if c}, _trusted=True)
 
     def __repr__(self):
         return f"SlElement({self.label()})"
@@ -211,10 +199,8 @@ class DmContext:
         if x.ring != self.m:
             raise ValueError(f"element of sl_{x.ring} fed to {self!r}")
         op = WeylOp.zero(self.ring)
-        for key in sorted(x.terms, key=lambda t: (t[0], t[1:])):
-            c = x.terms[key]
-            gen = self.t_op(key[1], key[2]) if key[0] == "E" else self.ttilde_op(key[1])
-            op = op + c * gen
+        for (i, j), c in x.parts():
+            op = op + c * (self.t_op(i, j) if i != j else self.ttilde_op(i))
         return op
 
 

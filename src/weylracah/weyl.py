@@ -15,8 +15,7 @@ from itertools import product
 from operator import add, sub
 from typing import Mapping
 
-from .poly import (MAX_DEGREE, SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum,
-                   _add_products)
+from .poly import SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum, _add_products
 
 __all__ = ["WeylOp"]
 
@@ -57,7 +56,7 @@ class WeylOp(SparseSum):
             return
         clean = {}
         for alpha, coeff in terms.items():
-            if len(alpha) != ring.num_vars or any(a < 0 for a in alpha):
+            if len(alpha) != ring.num_vars or any(type(a) is not int or a < 0 for a in alpha):
                 raise ValueError(f"bad derivative exponent {alpha} for {ring!r}")
             if not isinstance(coeff, Poly):
                 coeff = ring.const(coeff)
@@ -99,17 +98,15 @@ class WeylOp(SparseSum):
     # -- ring structure ----------------------------------------------------
 
     def _coerce(self, other) -> "WeylOp | None":
-        if isinstance(other, WeylOp):
-            if other.ring is not self.ring and other.ring != self.ring:
-                raise ContextMismatchError(f"{self.ring!r} vs {other.ring!r}")
-            return other
-        if isinstance(other, Poly):
-            if other.ring is not self.ring and other.ring != self.ring:
-                raise ContextMismatchError(f"{self.ring!r} vs {other.ring!r}")
-            return WeylOp.from_poly(other)
-        if isinstance(other, SCALAR_TYPES):
-            return WeylOp.scalar(self.ring, other)
-        return None
+        if not isinstance(other, WeylOp):
+            if isinstance(other, SCALAR_TYPES):
+                return WeylOp.scalar(self.ring, other)
+            if not isinstance(other, Poly):
+                return None
+            other = WeylOp.from_poly(other)
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise ContextMismatchError(f"{self.ring!r} vs {other.ring!r}")
+        return other
 
     def __mul__(self, other):
         """Normal-ordered composition self after other."""
@@ -212,36 +209,15 @@ class WeylOp(SparseSum):
         return self._leibniz(op, 1)
 
     def apply(self, p: Poly) -> Poly:
-        """Act on a polynomial: sum_alpha p_alpha * (d^alpha p), in one pass.
-
-        A term c u^e of p that d^alpha keeps adds c e!/(e-alpha)! times each
-        term of p_alpha at the sum of their monomials, straight into one map.
-        As in the product p_alpha * (d^alpha p), the leading degrees of
-        p_alpha and of the kept terms must add up to at most MAX_DEGREE.
-        """
+        """Act on a polynomial: sum_alpha p_alpha * (d^alpha p), every term
+        added straight into one map by `Ring.add_derivative`, which
+        degree-checks each product p_alpha * (d^alpha p) as it forms it."""
         ring = self.ring
         if p.ring != ring:
             raise ContextMismatchError(f"{ring!r} vs {p.ring!r}")
         out = {}
         for alpha, coeff in self.terms.items():
-            steps, drop = ring.derivative_plan(alpha)
-            top = -1
-            for m, c in p.terms.items():
-                weight = 1
-                for s, o in steps:
-                    e = m >> s & MAX_DEGREE
-                    if e < o:
-                        break
-                    weight *= math.perm(e, o)
-                else:
-                    top = max(top, m)
-                    m -= drop
-                    c *= weight
-                    for mu, a in coeff.terms.items():
-                        key = m + mu
-                        out[key] = out.get(key, 0) + a * c
-            if top >= 0:
-                ring.check_product(max(coeff.terms), top - drop)
+            ring.add_derivative(out, p.terms, alpha, coeff.terms)
         return Poly(ring, {key: c for key, c in out.items() if c}, _trusted=True)
 
     def subs(self, assignment: Mapping[str, object]) -> "WeylOp":

@@ -108,8 +108,7 @@ def u_degree(p: Poly) -> int:
 
 def sl_from_matrix(m: int, mat) -> SlElement:
     """The sl_m element with this m x m matrix (a list of rows)."""
-    entries = {(i + 1, j + 1): mat[i][j] for i in range(m) for j in range(m)}
-    return SlElement._from_entries(m, entries)
+    return SlElement(m, {(i + 1, j + 1): mat[i][j] for i in range(m) for j in range(m)})
 
 
 def reference_leibniz(left: WeylOp, right: WeylOp, start: int = 0) -> WeylOp:

@@ -118,8 +118,8 @@ def test_ac5_racah_structure():
 
 def _sigma_matrix(element, gen_mats, size):
     out = OpMatrix.scalar(size, 0)
-    for key, coeff in element.terms.items():
-        out = out + coeff * gen_mats[key]
+    for (i, j), coeff in element.parts():
+        out = out + coeff * gen_mats[("E", i, j) if i != j else ("H", i)]
     return out
 
 

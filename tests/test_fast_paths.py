@@ -166,7 +166,8 @@ def racah_pairs(n: int):
 def test_failing_disjoint_entry_fails_exactly_its_readers():
     # a nonzero [C_12, C_34] fails the checks that read it with a nonzero
     # net weight, and only those: +1 from 12 in A and 34 in B, -1 from the
-    # reverse; a check that reads it both ways still certifies zero
+    # reverse; a check that reads it both ways fails certification but still
+    # passes, as its pair sum skips both terms, which lie inside A & B
     ctx = RacahContext(5)
     p, q = (1, 2), (3, 4)
     ctx._brackets[p, q] = WeylOp.partial(ctx.ring, 1)

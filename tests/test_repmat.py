@@ -194,6 +194,14 @@ def test_matrix_algebra():
         eye @ OpMatrix.scalar(2, 1)
 
 
+def test_constructor_rejects_bad_positions():
+    # a float position would only fail later, inside @
+    for key in ((0.0, 1), (0, 2), (-1, 0), (True, 0)):
+        with pytest.raises(ValueError, match="entry position"):
+            OpMatrix(2, {key: 1})
+    assert OpMatrix(2, {(0, 1): 1}).rows == [[0, 1], [0, 0]]
+
+
 def random_rows(rng, size):
     """A size x size list of rows with about half of its entries zero."""
     return [

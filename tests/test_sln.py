@@ -118,7 +118,7 @@ def test_from_matrix_rejects_trace(ctx3):
     with pytest.raises(TypeError):
         sl_from_matrix(2, [[0.5, 0], [0, -0.5]])
     with pytest.raises(TypeError):
-        SlElement(3, {("E", 1, 2): 0.1})
+        SlElement(3, {(1, 2): 0.1})
     with pytest.raises(TypeError):
         0.5 * SlElement.E(3, 1, 2)
 
@@ -201,11 +201,11 @@ def dense(x):
     """Reference m x m matrix of an sl element, read from its coefficients."""
     m = x.ring
     mat = [[Rat(0)] * m for _ in range(m)]
-    for key, c in x.terms.items():
-        if key[0] == "E":
-            mat[key[1] - 1][key[2] - 1] += c
+    for (i, j), c in x.parts():
+        if i != j:
+            mat[i - 1][j - 1] += c
         else:
-            mat[key[1] - 1][key[1] - 1] += c
+            mat[i - 1][i - 1] += c
             mat[m - 1][m - 1] -= c
     return mat
 
@@ -234,6 +234,48 @@ def test_sparse_bracket_matches_dense_commutator():
                 for _ in range(2)
             )
             assert dense(x.bracket(y)) == dense_commutator(dense(x), dense(y)), (x, y)
+
+
+def from_parts(x):
+    """x rebuilt from its basis coefficients through E and H."""
+    m = x.ring
+    pieces = (c * (SlElement.E(m, i, j) if i != j else SlElement.H(m, i)) for (i, j), c in x.parts())
+    return sum(pieces, SlElement(m, {}))
+
+
+def test_parts_rebuild_the_element():
+    rng = random.Random(20246)
+    for m in (2, 3, 4, 5):
+        basis = SlElement.basis(m)
+        # each basis element is one part with coefficient 1: E_ij at (i, j), H_d at (d, d)
+        positions = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i != j]
+        positions += [(d, d) for d in range(1, m)]
+        assert [x.parts() for x in basis] == [[(pos, 1)] for pos in positions]
+        # a sum's parts come E first, then H, each in order of position
+        total = sum(reversed(basis), SlElement(m, {}))
+        assert [pos for pos, _ in total.parts()] == positions
+        for x in basis:
+            assert from_parts(x) == x
+        for _ in range(40):
+            x = sum(
+                (random_rational(rng) * rng.choice(basis) for _ in range(3)), SlElement(m, {})
+            )
+            assert from_parts(x) == x, x
+
+
+def test_constructor_checks_positions_and_trace():
+    for key in ((0, 1), (1, 4), (1.0, 2), (1, 2, 3), "E12"):
+        with pytest.raises(ValueError, match="not an entry position"):
+            SlElement(3, {key: 1})
+    # a basis label is not a position; the message says what is
+    with pytest.raises(ValueError, match=r"E_ij is \{\(i, j\): 1\}, not a basis label$"):
+        SlElement(3, {("E", 1, 2): 1})
+    with pytest.raises(ValueError, match="trace-free"):
+        SlElement(3, {(1, 1): 1, (2, 2): 1})
+    with pytest.raises(ValueError, match="trace-free"):
+        SlElement(3, {(1, 1): 1, (1, 2): 5})
+    assert SlElement(3, {(1, 1): 1, (3, 3): -1, (2, 1): 0}) == SlElement.H(3, 1)
+    assert SlElement(3, {(2, 2): Rat(1, 2), (3, 3): Rat(-1, 2)}).label() == "1/2*H(2)"
 
 
 def test_rank_mismatch_raises():

@@ -174,6 +174,14 @@ def test_dimension_mismatch(ring):
         WeylOp.partial(ring, 1).apply(other.u(1))
 
 
+def test_constructor_rejects_bad_exponents(ring):
+    # a float exponent would only fail later, inside apply's shifts
+    for alpha in ((1.0, 0), (0, -1), (1,), ("1", 0)):
+        with pytest.raises(ValueError, match="bad derivative exponent"):
+            WeylOp(ring, {alpha: 1})
+    assert WeylOp(ring, {(1, 0): 1}) == WeylOp.partial(ring, 1)
+
+
 def test_apply_overflow_checks_only_the_terms_it_keeps(ring):
     # d2 kills the top-degree term of p, so the old two-step path
     # u1^2 * p.diff_multi((0, 1)) multiplies u1^2 by 1 and raises nothing;
