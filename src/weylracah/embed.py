@@ -197,12 +197,17 @@ def embedded_c_pair(ctx: RacahContext, i: int, j: int) -> EmbeddedExpr:
     For the sorted pair (lo, hi) and (s, X, Y) from `_lead_blocks`:
       s X Y - (2 nu_hi - 1) Y - 2 s nu_lo X + const,
     where const = ctx.nu_casimir(lo, hi), the constant of c_pair(lo, hi).
+    Built once per context and kept in `ctx.embedded_pairs`.
     """
     lo, hi = ctx.pair_key(i, j)
-    ring = ctx.ring
-    const = EmbeddedExpr.scalar(ctx, ctx.nu_casimir(lo, hi))
-    s, x, y = _lead_blocks(ctx, lo, hi)
-    return (s * x) * y - (2 * ring.nu(hi) - 1) * y + (-2 * s * ring.nu(lo)) * x + const
+    expr = ctx.embedded_pairs.get((lo, hi))
+    if expr is None:
+        nu = ctx.ring.nu
+        const = EmbeddedExpr.scalar(ctx, ctx.nu_casimir(lo, hi))
+        s, x, y = _lead_blocks(ctx, lo, hi)
+        expr = (s * x) * y - (2 * nu(hi) - 1) * y + (-2 * s * nu(lo)) * x + const
+        ctx.embedded_pairs[lo, hi] = expr
+    return expr
 
 
 def embedded_c_set(ctx: RacahContext, A: Iterable[int]) -> EmbeddedExpr:

@@ -74,11 +74,12 @@ class Ring:
     and `unpack` convert them to and from packed monomials, and `shifts[pos]`
     is the offset of symbol pos's field. Rings with equal shape are
     interchangeable. `texts` caches the printed form of monomials for
-    printing, and `_plans` caches the plans of `add_derivative`.
+    printing, `_plans` the plans of `add_derivative`, and `_rows` the
+    derivative rows on a bounded-degree basis that `repmat.to_matrix` reads.
     """
 
     __slots__ = ("num_vars", "num_nu", "names", "_index", "shifts", "degree_shift", "u_mask",
-                 "texts", "_plans")
+                 "texts", "_plans", "_rows")
 
     def __init__(self, num_vars: int, num_nu: int = 0):
         if num_vars < 0 or num_nu < 0:
@@ -97,6 +98,7 @@ class Ring:
         self.u_mask = sum(MAX_DEGREE << shift for shift in self.shifts[:num_vars])
         self.texts: dict[int, str] = {}
         self._plans: dict[tuple, tuple] = {}
+        self._rows: dict[tuple, list] = {}
 
     def __eq__(self, other):
         return (

@@ -43,6 +43,8 @@ class RacahContext:
         # ambient sl realization used by the embedding; same coefficient ring
         self.dm = DmContext(n - 1, self.ring)
         self._pairs: dict = {}
+        # the embedded pair Casimir of each sorted pair, filled by embed.embedded_c_pair
+        self.embedded_pairs: dict = {}
         # [C_p, C_q] keyed by sorted pairs p < q, and each triple's cyclic verdict
         self._brackets: dict = {}
         self._cyclic: dict = {}
@@ -188,7 +190,10 @@ def table_reads(a: tuple, b: tuple) -> tuple[set, set] | None:
     """The triples and the disjoint entries that [C_a, C_b] reads, for sorted
     disjoint or nested subsets a and b; None if they overlap otherwise. For
     pairs p of a and q != p of b, p | q is a triple when p and q share a
-    factor, and (min(p, q), max(p, q)) a disjoint entry when they do not."""
+    factor, and (min(p, q), max(p, q)) a disjoint entry when they do not.
+    A singleton has no pairs, so it reads nothing."""
+    if len(a) < 2 or len(b) < 2:
+        return set(), set()
     sa, sb = set(a), set(b)
     if sa <= sb or sb <= sa:
         inner, outer = (a, sb) if sa <= sb else (b, sa)

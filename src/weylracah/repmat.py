@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
-from .poly import Poly, Rat, Ring, _as_rat
+from .poly import MAX_DEGREE, Poly, Rat, Ring, _as_rat
 from .weyl import WeylOp
 
 __all__ = ["LeakageError", "PiBasis", "OpMatrix", "basis", "to_matrix"]
@@ -249,14 +249,33 @@ def _substituted(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> W
     return numeric
 
 
+def _derivative_rows(ring: Ring, pi: PiBasis, alpha: tuple) -> list:
+    """The nonzero entries of d^alpha on the basis as (m, w, col): column
+    col, monomial u^b, goes to w u^(b - alpha), packed as m. One
+    `WeylOp.apply` of d^alpha to the sum of the basis monomials forms them
+    all; m determines b, so col is index[m + packed alpha]. Kept in
+    `ring._rows` by (degree, alpha), as long as the operator's ring lives."""
+    rows = ring._rows.get((pi.degree, alpha))
+    if rows is None:
+        every = Poly(ring, dict.fromkeys(pi.index, 1), _trusted=True)
+        image = WeylOp(ring, {alpha: ring.one()}, _trusted=True).apply(every)
+        shift = ring.pack(alpha + (0,) * (1 + ring.num_nu))
+        rows = [(m, w, pi.index[m + shift]) for m, w in image.terms.items()]
+        ring._rows[pi.degree, alpha] = rows
+    return rows
+
+
 def to_matrix(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> OpMatrix:
     """Exact matrix of the operator action; column j is the image of
     basis monomial j. Raises LeakageError when an image exceeds the degree
     bound, naming the first such column and its leaking monomial that is
-    largest in graded-lex order.
+    largest in graded-lex order; a column whose product p_alpha * d^alpha
+    passes MAX_DEGREE raises MonomialOverflowError instead, when it is the
+    first to fail.
 
     The substituted operator is scaled once to int coefficients by the lcm
-    d of their denominators and applied on ints; the images are the
+    d of their denominators. Each term p_alpha d^alpha adds p_alpha times
+    the derivative rows of alpha into the column images, which are the
     numerators of the matrix over d.
     """
     ring = op.ring
@@ -264,22 +283,36 @@ def to_matrix(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> OpMa
         raise ValueError("operator and basis rings differ")
     numeric = _substituted(op, pi, assignment)
     d = math.lcm(*(c.denominator for p in numeric.terms.values() for c in p.terms.values()))
-    scaled = {}
+    shift = ring.degree_shift
+    images = [{} for _ in range(pi.size)]
+    failing = {}  # column -> (lead, m) of its first product past MAX_DEGREE
     for alpha, p in numeric.terms.items():
-        terms = {m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}
-        scaled[alpha] = Poly(ring, terms, _trusted=True)
-    numeric = WeylOp(ring, scaled, _trusted=True)
+        terms = [(m, c.numerator * (d // c.denominator)) for m, c in p.terms.items()]
+        rows = _derivative_rows(ring, pi, alpha)
+        lead = max(p.terms)
+        if (lead >> shift) + pi.degree > MAX_DEGREE:
+            for m, _, col in rows:
+                if (lead >> shift) + (m >> shift) > MAX_DEGREE:
+                    failing.setdefault(col, (lead, m))
+            rows = [row for row in rows if row[2] not in failing]
+        for m, w, col in rows:
+            image = images[col]
+            for mu, c in terms:
+                key = m + mu
+                image[key] = image.get(key, 0) + c * w
     entries = {}
-    nv = ring.num_vars
-    for col, key in enumerate(pi.index):
-        image = numeric.apply(Poly(ring, {key: 1}, _trusted=True))
-        for monomial, coeff in image.terms.items():
+    for col, image in enumerate(images):
+        if col in failing:
+            ring.check_product(*failing[col])
+        for monomial, coeff in image.items():
+            if not coeff:
+                continue
             row = pi.index.get(monomial)
             if row is None:
-                exps = ring.unpack(max(m for m in image.terms if m not in pi.index))
+                exps = ring.unpack(max(m for m, c in image.items() if c and m not in pi.index))
                 raise LeakageError(
                     f"image of basis monomial {pi.monomials[col]} contains "
-                    f"degree {sum(exps[:nv])} term {exps}, bound is {pi.degree}"
+                    f"degree {sum(exps[:ring.num_vars])} term {exps}, bound is {pi.degree}"
                 )
             entries[(row, col)] = coeff
     return OpMatrix._of(pi.size, entries, d)

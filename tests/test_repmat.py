@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import monomial_poly, random_invariant_op, random_nu_values, random_rational
 from weylracah import (
@@ -22,6 +23,7 @@ from weylracah import (
     nonempty_subsets,
     to_matrix,
 )
+from weylracah.poly import MAX_DEGREE, MonomialOverflowError
 from weylracah.sln import GenEuler, evaluate, u_euler_tree, u_partial_tree
 
 
@@ -480,6 +482,39 @@ def dense_reference(op, pi, values):
     return rows
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 5), st.integers(0, 3), st.integers(0, 2**32))
+def test_to_matrix_matches_dense_reference_property(n, k, seed):
+    # the derivative rows against one `apply` per column, on a fresh context
+    # so the rows are built cold, then on a basis whose rows are warm
+    rng = random.Random(seed)
+    rc = RacahContext(n)
+    pi = basis(rc.ring, k)
+    values = {"k": k, **random_nu_values(rng, n)}
+    ops = [rc.c_set(A) for A in nonempty_subsets(n)]
+    ops += [random_invariant_op(rng, rc.dm) for _ in range(3)]
+    for op in ops + ops[-3:]:
+        assert to_matrix(op, pi, values).rows == dense_reference(op, pi, values)
+
+
+def test_derivative_rows_live_on_the_operators_ring():
+    # one ring serves k = 1 and then k = 2, each with its own rows; a second
+    # context's ring starts with none, whatever the first one holds
+    rc = RacahContext(4)
+    values = {"k": 1, **random_nu_values(random.Random(7), 4)}
+    for k in (1, 2, 1):
+        pi = basis(rc.ring, k)
+        values["k"] = k
+        for A in nonempty_subsets(4):
+            assert to_matrix(rc.c_set(A), pi, values).rows == dense_reference(rc.c_set(A), pi, values)
+    assert {degree for degree, _ in rc.ring._rows} == {1, 2}
+    other = RacahContext(4)
+    assert other.ring == rc.ring and other.ring._rows == {}
+    pi, values["k"] = basis(rc.ring, 2), 2
+    assert to_matrix(other.c_pair(1, 2), pi, values) == to_matrix(rc.c_pair(1, 2), pi, values)
+    assert other.ring._rows and all(degree == 2 for degree, _ in other.ring._rows)
+
+
 def test_to_matrix_entries_are_int_exactly_when_integral():
     rc = RacahContext(4)
     pi = basis(rc.ring, 2)
@@ -551,3 +586,36 @@ def test_leakage_error_names_the_largest_leak_of_the_first_column():
         assert str(raised.value) == (
             "image of basis monomial (1, 0, 0) contains degree 2 term (2, 0, 0), bound is 1"
         )
+
+
+def test_leakage_wins_over_a_later_columns_overflow():
+    # u1^MAX_DEGREE takes column 1 to itself, a leak, and would take column
+    # u1 past MAX_DEGREE: the first column to fail names the error, so the
+    # overflow of a later column is never raised
+    ring = Ring(2, 0)
+    pi = basis(ring, 1)
+    with pytest.raises(LeakageError) as raised:
+        to_matrix(WeylOp.from_poly(ring.u(1) ** MAX_DEGREE), pi, {"k": 1})
+    assert str(raised.value) == (
+        f"image of basis monomial (0, 0, 0) contains degree {MAX_DEGREE} term "
+        f"({MAX_DEGREE}, 0, 0), bound is 1"
+    )
+
+
+def test_overflow_of_the_first_failing_column(monkeypatch):
+    # with the degree limit lowered to 7 (still a mask of whole fields), u^6
+    # - u^7 d1 keeps columns 1 and u inside it (u^7 - u^7 cancels), and column
+    # u^2 is the first whose product u^6 * u^2 passes it: that column raises
+    # MonomialOverflowError rather than naming a leak
+    ring = Ring(1, 0)
+    pi = basis(ring, 6)
+    u = ring.u(1)
+    op = WeylOp(ring, {(0,): u**6, (1,): -(u**7)})
+    import weylracah.poly as poly
+    import weylracah.repmat as repmat
+
+    monkeypatch.setattr(poly, "MAX_DEGREE", 7)
+    monkeypatch.setattr(repmat, "MAX_DEGREE", 7, raising=False)
+    with pytest.raises(MonomialOverflowError) as raised:
+        to_matrix(op, pi, {"k": 6})
+    assert str(raised.value) == "a product of degree 8 exceeds the limit 7"

@@ -73,6 +73,14 @@ def test_oracle_unit_work_counts(monkeypatch):
     monkeypatch.setattr(OpMatrix, "__matmul__", counted("matmul", OpMatrix.__matmul__, nnz=True))
     monkeypatch.setattr(OpMatrix, "commutator", counted("commutator", OpMatrix.commutator))
     monkeypatch.setattr(WeylOp, "apply", counted("apply", WeylOp.apply))
+    contexts = []
+    init = weylracah.racah.RacahContext.__init__
+
+    def recorded(self, n):
+        contexts.append(self)
+        init(self, n)
+
+    monkeypatch.setattr(weylracah.racah.RacahContext, "__init__", recorded)
 
     class Clock:
         def mark(self):
@@ -82,9 +90,15 @@ def test_oracle_unit_work_counts(monkeypatch):
     state = {**oracle.setup(weylracah, 1), "speed": Clock()}
     ops = oracle.unit(weylracah, state, 0)
     assert len(ops) == oracle.expected and all(op.ok for op in ops)
+    # apply runs once per distinct derivative exponent of the unit's
+    # operators (10 of them), forming that derivative's rows on the whole
+    # basis, which the unit's fresh ring keeps for its 56 matrices
     assert counts == {
-        "to_matrix": 56, "matmul": 117, "nnz_in": 9505, "commutator": 301, "apply": 1960,
+        "to_matrix": 56, "matmul": 117, "nnz_in": 9505, "commutator": 301, "apply": 10,
     }
+    # each of the 10 embedded pair trees is built once, in the unit's context
+    unit_ctx = contexts[-1]
+    assert len(unit_ctx.embedded_pairs) == 10 and len(unit_ctx.ring._rows) == 10
 
 
 def test_racah_unit_work_counts(monkeypatch):
