@@ -42,9 +42,9 @@ def eval_tree(ctx: RacahContext, node) -> WeylOp:
 def eval_tree_matrix(ctx: RacahContext, node, basis, assignment, cache=None):
     """Evaluate the provenance tree in the exact matrix model: generator
     leaves become their matrices on the bounded-degree basis and scalar
-    leaves scalar matrices, and products become matrix products. Leaves,
-    scalars and products are memoised in `cache`, each keyed by its node,
-    so trees evaluated through one cache form each shared value once."""
+    leaves scalar matrices, and products become matrix products. Every
+    node, sums included, is memoised in `cache`, keyed by the node, so
+    trees evaluated through one cache form each shared value once."""
     backend = TreeBackend(
         lambda op: to_matrix(op, basis, assignment),
         lambda p: OpMatrix.scalar(basis.size, p.subs(assignment).constant_value()),

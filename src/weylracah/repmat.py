@@ -78,12 +78,15 @@ def _kernel(x: "OpMatrix", y: "OpMatrix", commute: bool) -> "OpMatrix":
     every result entry lies strictly between -2^(w - 1) and 2^(w - 1) for
     any w >= bx + by + bs + 2. Adding 2^(w - 1) to each slot makes the slots
     the base-2^w digits of a nonnegative int, whose nonzero ones are read
-    off. w is rounded up to a multiple of 64, so an operand mostly meets the
-    same w again and reuses the rows it packed last time.
+    off. A product packs at w = bx + by + bs + 2 exactly. A commutator
+    rounds w up to a multiple of 64, so an operand mostly meets the same w
+    again and reuses the rows it packed last time.
     """
     size = x.size
     bx, by = (max(map(abs, m.num.values()), default=0).bit_length() for m in (x, y))
-    w = -(-(bx + by + size.bit_length() + 2) // 64) * 64
+    w = bx + by + size.bit_length() + 2
+    if commute:
+        w = -(-w // 64) * 64
     totals = [0] * size
     for left, right, sign in ((x, y, 1), (y, x, -1)) if commute else ((x, y, 1),):
         packed = right._packed_rows(w)
@@ -216,12 +219,23 @@ class OpMatrix:
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
         return NotImplemented if self._check(other) is None else _kernel(self, other, False)
 
+    def _is_scalar(self) -> bool:
+        """True for a nonzero multiple of the identity: a nonzero (0, 0)
+        entry and `size` entries, each on the diagonal and equal to it."""
+        c = self.num.get((0, 0))
+        return (c is not None and len(self.num) == self.size
+                and all(i == j and v == c for (i, j), v in self.num.items()))
+
     def commutator(self, other: "OpMatrix") -> "OpMatrix":
-        """self @ other - other @ self, both products summed in one kernel."""
+        """self @ other - other @ self, both products summed in one kernel.
+        It is zero without a product when other is self or either operand
+        is scalar, as read off the matrices themselves."""
         if self._check(other) is None:
             raise TypeError(
                 f"unsupported operand type(s) for commutator: 'OpMatrix' and '{type(other).__name__}'"
             )
+        if other is self or self._is_scalar() or other._is_scalar():
+            return OpMatrix._of(self.size, {}, 1)
         return _kernel(self, other, True)
 
     def dump(self) -> str:

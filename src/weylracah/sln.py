@@ -225,17 +225,35 @@ class GenEuler:
     pass
 
 
-@dataclass(frozen=True)
+def _hash_once(cls):
+    """cls as a frozen dataclass whose field hash is computed on the first
+    `hash` and kept on the node, since a shared cache hashes inner nodes
+    over and over; equality stays the fields' equality."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
 class ScalarNode:
     value: Poly
 
 
-@dataclass(frozen=True)
+@_hash_once
 class SumNode:
     parts: tuple
 
 
-@dataclass(frozen=True)
+@_hash_once
 class ProdNode:
     parts: tuple
 
@@ -256,23 +274,22 @@ def evaluate(tree, dm: DmContext, backend: TreeBackend = SYMBOLIC, leaves: dict 
     """Value of a provenance tree; generator and Euler leaves are memoised
     in `leaves`, which may be shared between calls with the same backend.
 
-    A caller that passes `leaves` also gets every product and scalar node
-    memoised there, keyed by the node, so a value shared by several trees
-    is formed once. Without `leaves` only the leaves are memoised, and no
-    other node is hashed. Sums are never memoised, and a node that raises
-    memoises nothing.
+    A caller that passes `leaves` also gets every sum, product and scalar
+    node memoised there, keyed by the node, so a value shared by several
+    trees is formed once. Without `leaves` only the leaves are memoised,
+    and no other node is hashed. A node that raises memoises nothing.
     """
     memo = leaves is not None
     if leaves is None:
         leaves = {}
 
     def rec(node):
-        if isinstance(node, SumNode):
-            return reduce(operator.add, map(rec, node.parts))
         keep = memo or isinstance(node, (GenT, GenTtilde, GenEuler))
         value = leaves.get(node) if keep else None
         if value is None:
-            if isinstance(node, ProdNode):
+            if isinstance(node, SumNode):
+                value = reduce(operator.add, map(rec, node.parts))
+            elif isinstance(node, ProdNode):
                 value = reduce(backend.product, map(rec, node.parts))
             elif isinstance(node, ScalarNode):
                 value = backend.scalar(node.value)

@@ -3,7 +3,8 @@
 Coefficients are ints wherever they are integral, `WeylOp.commutator`
 composes both orders without the Leibniz terms that cancel, the racah
 suite reads [C_A, C_B] from a table of pair commutators, and provenance
-trees evaluated through one shared cache form each distinct product once.
+trees evaluated through one shared cache form each distinct sum and product
+once.
 Each test here compares one of these against the plain definition.
 """
 
@@ -31,7 +32,7 @@ from weylracah import (
     to_matrix,
 )
 from weylracah.racah import table_reads
-from weylracah.sln import GenEuler, ProdNode, euler_tree, nonempty_subsets
+from weylracah.sln import GenEuler, GenT, ProdNode, ScalarNode, SumNode, euler_tree, nonempty_subsets
 
 
 @pytest.fixture(scope="module")
@@ -256,17 +257,22 @@ def memo_trees(rc: RacahContext) -> dict:
     return {A: embedded_c_set(rc, A).tree for A in nonempty_subsets(rc.n)}
 
 
-def product_nodes(tree, dm, seen: set) -> set:
-    """The distinct product nodes of a tree, with the Euler leaf expanded."""
+def distinct_nodes(tree, dm, kind, seen: set) -> set:
+    """The distinct nodes of one kind in a tree, with the Euler leaf expanded."""
     if isinstance(tree, GenEuler):
         tree = euler_tree(dm)
-    if isinstance(tree, ProdNode):
+    if isinstance(tree, kind):
         if tree in seen:
             return seen
         seen.add(tree)
     for part in getattr(tree, "parts", ()):
-        product_nodes(part, dm, seen)
+        distinct_nodes(part, dm, kind, seen)
     return seen
+
+
+def product_nodes(tree, dm, seen: set) -> set:
+    """The distinct product nodes of a tree, with the Euler leaf expanded."""
+    return distinct_nodes(tree, dm, ProdNode, seen)
 
 
 def test_shared_cache_values_match_fresh_evaluation():
@@ -323,3 +329,97 @@ def test_failed_product_is_not_memoised(monkeypatch):
     assert eval_tree_matrix(rc, tree, pi, MEMO_VALUES, cache) == to_matrix(
         rc.c_pair(1, 3), pi, MEMO_VALUES
     )
+
+
+def test_shared_cache_forms_each_distinct_sum_once(monkeypatch):
+    rc = RacahContext(4)
+    pi = basis(rc.ring, 2)
+    trees = memo_trees(rc)
+    calls = []
+    add = OpMatrix.__add__
+
+    def counted(a, b):
+        calls.append(1)
+        return add(a, b)
+
+    monkeypatch.setattr(OpMatrix, "__add__", counted)
+    cache: dict = {}
+    for tree in trees.values():
+        eval_tree_matrix(rc, tree, pi, MEMO_VALUES, cache)
+    distinct: set = set()
+    for tree in trees.values():
+        distinct_nodes(tree, rc.dm, SumNode, distinct)
+    assert len(calls) == sum(len(node.parts) - 1 for node in distinct)
+    assert all(node in cache for node in distinct)
+    # each subset tree holds the sums of its pair trees: walked one by one
+    # the trees hold many more additions than the shared cache makes
+    walked = sum(
+        len(node.parts) - 1
+        for tree in trees.values()
+        for node in distinct_nodes(tree, rc.dm, SumNode, set())
+    )
+    assert walked > 2 * len(calls)
+
+
+def test_failed_sum_is_not_memoised(monkeypatch):
+    # every leaf but t_op(2, 1) evaluates: the sums and products above that
+    # leaf raise and memoise nothing, while those beside it are kept
+    import weylracah.embed as embed_mod
+
+    rc = RacahContext(4)
+    pi = basis(rc.ring, 2)
+    tree = embedded_c_pair(rc, 1, 3).tree
+    bad, leaf_matrix = rc.dm.t_op(2, 1), embed_mod.to_matrix
+
+    def leaking(op, *args):
+        if op is bad:
+            raise LeakageError("image left the space")
+        return leaf_matrix(op, *args)
+
+    def holds_bad(node):
+        return node == GenT(2, 1) or any(map(holds_bad, getattr(node, "parts", ())))
+
+    monkeypatch.setattr(embed_mod, "to_matrix", leaking)
+    cache: dict = {}
+    for _ in range(2):
+        with pytest.raises(LeakageError):
+            eval_tree_matrix(rc, tree, pi, MEMO_VALUES, cache)
+        inner = [key for key in cache if isinstance(key, (SumNode, ProdNode))]
+        assert any(isinstance(key, SumNode) for key in inner)
+        assert holds_bad(tree) and not any(map(holds_bad, inner))
+    monkeypatch.setattr(embed_mod, "to_matrix", leaf_matrix)
+    assert eval_tree_matrix(rc, tree, pi, MEMO_VALUES, cache) == to_matrix(
+        rc.c_pair(1, 3), pi, MEMO_VALUES
+    )
+    assert tree in cache
+
+
+def test_equal_nodes_built_apart_hash_equal():
+    a, b = (embedded_c_pair(RacahContext(4), 1, 3).tree for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b) == hash(a)
+    # the cache keys equal nodes together, whichever was built first
+    assert {a: "value"}[b] == "value"
+    ring = Ring(3, 4)
+    parts = (GenT(3, 1), ScalarNode(ring.nu(2)))
+    for kind in (SumNode, ProdNode):
+        assert kind(parts) == kind(tuple(parts)) and hash(kind(parts)) == hash(kind(parts))
+    assert SumNode(parts) != ProdNode(parts) and SumNode(parts) != SumNode(parts[:1])
+    assert ScalarNode(ring.nu(2)) != ScalarNode(ring.nu(1))
+
+
+def test_scalar_node_hashes_its_poly_once(monkeypatch):
+    value = Ring(3, 4).nu(2) - 7
+    expected = hash(ScalarNode(value))  # another node, hashed before counting
+    calls = []
+    poly_hash = Poly.__hash__
+
+    def counted(self):
+        calls.append(1)
+        return poly_hash(self)
+
+    monkeypatch.setattr(Poly, "__hash__", counted)
+    node = ScalarNode(value)
+    cache = {node: 1}
+    for _ in range(5):
+        assert hash(node) == expected and cache[node] == 1
+    assert len(calls) == 1

@@ -21,6 +21,7 @@ from weylracah import (
     eval_tree,
     eval_tree_matrix,
     nonempty_subsets,
+    repmat,
     to_matrix,
 )
 from weylracah.poly import MAX_DEGREE, MonomialOverflowError
@@ -381,7 +382,8 @@ def test_kernel_reuses_packed_rows():
     assert x._packed[0] == narrow
     # as both operands of its own commutator
     assert x.commutator(x).is_zero()
-    # in x @ y and then in x.commutator(y), which reuses what x @ y packed
+    # in x @ y, which packs y at the exact width, and then in
+    # x.commutator(y), which packs both at a multiple of 64
     for partner in (small, wide):
         y = from_rows(partner)
         xy, yx = dense_product(rows_x, partner), dense_product(partner, rows_x)
@@ -404,6 +406,77 @@ def test_kernel_operand_errors():
         eye.commutator([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         eye.commutator(OpMatrix.scalar(3, 1))
+
+
+def counted_kernel(monkeypatch) -> list:
+    """A list that grows by one on every `_kernel` call."""
+    calls = []
+    kernel = repmat._kernel
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(repmat, "_kernel", counted)
+    return calls
+
+
+def test_trivial_commutators_skip_the_kernel(monkeypatch):
+    # [X, X] = 0 and [c, X] = [X, c] = 0 for a scalar c, read off the
+    # matrix: each is the zero matrix the kernel itself would return
+    rng = random.Random(2207)
+    kernel = repmat._kernel
+    calls = counted_kernel(monkeypatch)
+    for size in (1, 2, 5):
+        x = from_rows(random_rows(rng, size))
+        third, two = OpMatrix.scalar(size, Rat(-1, 3)), OpMatrix.scalar(size, 2)
+        for a, b in ((x, x), (third, x), (x, third), (two, third), (third, two), (third, third)):
+            com = a.commutator(b)
+            assert com.is_zero() and com == kernel(a, b, True) == x - x, size
+            assert (com.size, com.d) == (size, 1)
+    assert calls == []
+
+
+def test_near_scalar_commutators_enter_the_kernel(monkeypatch):
+    # a matrix that is not a nonzero multiple of the identity goes through
+    # the kernel, also when it has `size` entries or a constant diagonal; a
+    # nonzero 1 x 1 matrix is a scalar, so the 1 x 1 case here is zero
+    rng = random.Random(1984)
+    sub = lambda x, y: x - y
+    near = [
+        [[Rat(5, 2), 0, 0], [0, Rat(5, 2), 0], [0, 0, 3]],  # one diagonal entry differs
+        [[0, -2], [-6, 0]],  # size entries, none on the diagonal
+        [[0, 0, 1], [0, 2, 0], [3, 0, 0]],  # size entries, one on the diagonal
+        [[4, 0, 0], [0, 4, Rat(1, 7)], [0, 0, 4]],  # a scalar plus one off-diagonal entry
+        [[0, 0], [0, 7]],  # the (0, 0) entry missing
+        [[0]],  # 1 x 1 and zero
+    ]
+    calls = counted_kernel(monkeypatch)
+    for rows in near:
+        size = len(rows)
+        m = from_rows(rows)
+        # an equal copy, which is not the same object, and a random partner
+        # (every nonzero 1 x 1 partner would be a scalar)
+        partners = [[list(row) for row in rows]] + [random_rows(rng, size)] * (size > 1)
+        for other in partners:
+            mo = from_rows(other)
+            for a, b, ra, rb in ((m, mo, rows, other), (mo, m, other, rows)):
+                before = len(calls)
+                assert a.commutator(b).rows == entrywise(
+                    sub, dense_product(ra, rb), dense_product(rb, ra)), rows
+                assert len(calls) == before + 1, rows
+
+
+def test_trivial_commutator_operand_errors(monkeypatch):
+    calls = counted_kernel(monkeypatch)
+    eye = OpMatrix.scalar(2, 1)
+    with pytest.raises(TypeError):
+        eye.commutator(3)
+    for a, b in ((eye, OpMatrix.scalar(3, 1)), (eye, from_rows([[1, 2, 3]] * 3)),
+                 (from_rows([[1, 2, 3]] * 3), eye)):
+        with pytest.raises(ValueError, match="size mismatch"):
+            a.commutator(b)
+    assert calls == []
 
 
 def test_casimir_matrix_commutators_match_dense():

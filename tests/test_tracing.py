@@ -53,6 +53,7 @@ def test_oracle_unit_work_counts(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
     spec.loader.exec_module(workloads)
     import weylracah
+    from weylracah import repmat
     from weylracah.repmat import OpMatrix, to_matrix
     from weylracah.weyl import WeylOp
 
@@ -73,6 +74,8 @@ def test_oracle_unit_work_counts(monkeypatch):
     monkeypatch.setattr(OpMatrix, "__matmul__", counted("matmul", OpMatrix.__matmul__, nnz=True))
     monkeypatch.setattr(OpMatrix, "commutator", counted("commutator", OpMatrix.commutator))
     monkeypatch.setattr(WeylOp, "apply", counted("apply", WeylOp.apply))
+    monkeypatch.setattr(repmat, "_kernel", counted("kernel", repmat._kernel))
+    monkeypatch.setattr(OpMatrix, "__add__", counted("add", OpMatrix.__add__))
     contexts = []
     init = weylracah.racah.RacahContext.__init__
 
@@ -92,9 +95,14 @@ def test_oracle_unit_work_counts(monkeypatch):
     assert len(ops) == oracle.expected and all(op.ok for op in ops)
     # apply runs once per distinct derivative exponent of the unit's
     # operators (10 of them), forming that derivative's rows on the whole
-    # basis, which the unit's fresh ring keeps for its 56 matrices
+    # basis, which the unit's fresh ring keeps for its 56 matrices; the
+    # kernel runs 301 - 31 - 165 + 117 = 222 times: 301 commutators less the
+    # 31 of a subset with itself and the 165 more with a scalar operand (the
+    # five singletons and C_{1..5}), plus the 117 products; each distinct
+    # sum of the 41 trees is formed once in the shared cache, by 162 additions
     assert counts == {
         "to_matrix": 56, "matmul": 117, "nnz_in": 9505, "commutator": 301, "apply": 10,
+        "kernel": 222, "add": 162,
     }
     # each of the 10 embedded pair trees is built once, in the unit's context
     unit_ctx = contexts[-1]
