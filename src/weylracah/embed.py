@@ -43,14 +43,15 @@ def eval_tree_matrix(ctx: RacahContext, node, basis, assignment, cache=None):
     """Evaluate the provenance tree in the exact matrix model: generator
     leaves become their matrices on the bounded-degree basis and scalar
     leaves scalar matrices, and products become matrix products. Every
-    node, sums included, is memoised in `cache`, keyed by the node, so
-    trees evaluated through one cache form each shared value once."""
+    node is memoised in `cache`, keyed by the node, so trees evaluated
+    through one cache form each shared value once; without one, in a fresh
+    dict for this call alone, never in the model's."""
     backend = TreeBackend(
         lambda op: to_matrix(op, basis, assignment),
         lambda p: OpMatrix.scalar(basis.size, p.subs(assignment).constant_value()),
         operator.matmul,
     )
-    return evaluate(node, ctx.dm, backend, {} if cache is None else cache)
+    return evaluate(node, ctx.dm, backend, cache)
 
 
 # -- embedded expressions ----------------------------------------------------
@@ -59,21 +60,18 @@ def eval_tree_matrix(ctx: RacahContext, node, basis, assignment, cache=None):
 class EmbeddedExpr:
     """An operator known only by its generator-only assembly.
 
-    `op` is evaluated from the tree on first access and then cached.
+    `op` is evaluated from the tree, whose every node the model memoises.
     """
 
-    __slots__ = ("ctx", "tree", "_op")
+    __slots__ = ("ctx", "tree")
 
     def __init__(self, ctx: RacahContext, tree):
         self.ctx = ctx
         self.tree = tree
-        self._op = None
 
     @property
     def op(self) -> WeylOp:
-        if self._op is None:
-            self._op = eval_tree(self.ctx, self.tree)
-        return self._op
+        return eval_tree(self.ctx, self.tree)
 
     @staticmethod
     def scalar(ctx: RacahContext, value) -> "EmbeddedExpr":

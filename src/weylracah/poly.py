@@ -74,7 +74,7 @@ class Ring:
     and `unpack` convert them to and from packed monomials, and `shifts[pos]`
     is the offset of symbol pos's field. Rings with equal shape are
     interchangeable. `texts` caches the printed form of monomials for
-    printing, `_plans` the plans of `add_derivative`, and `_rows` the
+    printing, `_plans` the plans of `Poly.diff_multi`, and `_rows` the
     derivative rows on a bounded-degree basis that `repmat.to_matrix` reads.
     """
 
@@ -145,44 +145,6 @@ class Ring:
             raise MonomialOverflowError(
                 f"a product of degree {degree} exceeds the limit {MAX_DEGREE}"
             )
-
-    def add_derivative(self, out: dict, terms: Mapping, orders: tuple, coeff=None) -> None:
-        """Add coeff * d^orders(terms) into out, for maps of packed terms, in
-        one pass with the cached plan of d^orders (each differentiated field's
-        shift and order, and the packed amount a kept term loses): u^e goes
-        to e!/(e-o)! u^(e-o), and to zero when e < o. Without coeff each kept
-        term is assigned: distinct monomials stay distinct and no degree
-        grows. With it, as in the product coeff * d^orders(terms), the leading
-        degrees of coeff and of the kept terms must add up to at most
-        MAX_DEGREE, and a sum that cancels stays in out as a zero."""
-        plan = self._plans.get(orders)
-        if plan is None:
-            if any(orders[self.num_vars :]):
-                raise ValueError(f"derivative orders {orders} name a parameter of {self!r}")
-            steps = tuple((self.shifts[pos], o) for pos, o in enumerate(orders) if o)
-            drop = sum(o << shift for shift, o in steps) + (sum(orders) << self.degree_shift)
-            plan = self._plans[orders] = (steps, drop)
-        steps, drop = plan
-        top = -1
-        for m, c in terms.items():
-            weight = 1
-            for shift, o in steps:
-                e = m >> shift & MAX_DEGREE
-                if e < o:
-                    break
-                weight *= math.perm(e, o)
-            else:
-                if coeff is None:
-                    out[m - drop] = c * weight
-                    continue
-                top = max(top, m)
-                m -= drop
-                c *= weight
-                for mu, a in coeff.items():
-                    key = m + mu
-                    out[key] = out.get(key, 0) + a * c
-        if top >= 0 and coeff:
-            self.check_product(max(coeff), top - drop)
 
     def capped_degrees(self, monomials: list, caps) -> tuple:
         """For each u-variable, the largest exponent over the monomials, read
@@ -382,12 +344,33 @@ class Poly(SparseSum):
     __rmul__ = __mul__
 
     def diff_multi(self, orders: tuple) -> "Poly":
-        """Iterated derivative; orders[i] applications of d/du_{i+1}."""
+        """Iterated derivative; orders[i] applications of d/du_{i+1}, in one
+        pass with the ring's cached plan of d^orders (each differentiated
+        field's shift and order, and the packed amount a kept term loses):
+        u^e goes to e!/(e-o)! u^(e-o), and to zero when e < o. Distinct
+        monomials stay distinct, so each kept term is assigned."""
         if not any(orders):
             return self
+        ring = self.ring
+        plan = ring._plans.get(orders)
+        if plan is None:
+            if any(orders[ring.num_vars :]):
+                raise ValueError(f"derivative orders {orders} name a parameter of {ring!r}")
+            steps = tuple((ring.shifts[pos], o) for pos, o in enumerate(orders) if o)
+            drop = sum(o << shift for shift, o in steps) + (sum(orders) << ring.degree_shift)
+            plan = ring._plans[orders] = (steps, drop)
+        steps, drop = plan
         out = {}
-        self.ring.add_derivative(out, self.terms, orders)
-        return Poly(self.ring, out, _trusted=True)
+        for m, c in self.terms.items():
+            weight = 1
+            for shift, o in steps:
+                e = m >> shift & MAX_DEGREE
+                if e < o:
+                    break
+                weight *= math.perm(e, o)
+            else:
+                out[m - drop] = c * weight
+        return Poly(ring, out, _trusted=True)
 
     def subs(self, assignment: Mapping[str, object]) -> "Poly":
         """Substitute rational values for symbols named in the assignment.

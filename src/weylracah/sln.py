@@ -149,6 +149,8 @@ class DmContext:
         self.ring = ring
         self._euler: WeylOp | None = None
         self._gens: dict = {}
+        # the symbolic value of every provenance node `evaluate` has formed
+        self._values: dict = {}
 
     def __repr__(self):
         return f"DmContext(m={self.m})"
@@ -227,8 +229,8 @@ class GenEuler:
 
 def _hash_once(cls):
     """cls as a frozen dataclass whose field hash is computed on the first
-    `hash` and kept on the node, since a shared cache hashes inner nodes
-    over and over; equality stays the fields' equality."""
+    `hash` and kept on the node: `evaluate` looks up every node it meets,
+    and a field hash hashes the subtree again. Equality is the fields'."""
     cls = dataclass(frozen=True)(cls)
     field_hash = cls.__hash__
 
@@ -270,22 +272,17 @@ class TreeBackend(NamedTuple):
 SYMBOLIC = TreeBackend(lambda op: op, WeylOp.from_poly, operator.mul)
 
 
-def evaluate(tree, dm: DmContext, backend: TreeBackend = SYMBOLIC, leaves: dict | None = None):
-    """Value of a provenance tree; generator and Euler leaves are memoised
-    in `leaves`, which may be shared between calls with the same backend.
-
-    A caller that passes `leaves` also gets every sum, product and scalar
-    node memoised there, keyed by the node, so a value shared by several
-    trees is formed once. Without `leaves` only the leaves are memoised,
-    and no other node is hashed. A node that raises memoises nothing.
-    """
-    memo = leaves is not None
-    if leaves is None:
-        leaves = {}
+def evaluate(tree, dm: DmContext, backend: TreeBackend = SYMBOLIC, cache: dict | None = None):
+    """Value of a provenance tree, with every node memoised in `cache`,
+    keyed by the node, so a value shared by several trees or calls is
+    formed once. Without `cache` the symbolic backend uses the model's own,
+    `dm._values`, and any other backend a fresh dict. A node that raises
+    memoises nothing."""
+    if cache is None:
+        cache = dm._values if backend is SYMBOLIC else {}
 
     def rec(node):
-        keep = memo or isinstance(node, (GenT, GenTtilde, GenEuler))
-        value = leaves.get(node) if keep else None
+        value = cache.get(node)
         if value is None:
             if isinstance(node, SumNode):
                 value = reduce(operator.add, map(rec, node.parts))
@@ -301,8 +298,7 @@ def evaluate(tree, dm: DmContext, backend: TreeBackend = SYMBOLIC, leaves: dict 
                 value = rec(euler_tree(dm))
             else:
                 raise TypeError(f"not a provenance node: {node!r}")
-            if keep:
-                leaves[node] = value
+            cache[node] = value
         return value
 
     return rec(tree)

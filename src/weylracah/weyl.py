@@ -209,16 +209,13 @@ class WeylOp(SparseSum):
         return self._leibniz(op, 1)
 
     def apply(self, p: Poly) -> Poly:
-        """Act on a polynomial: sum_alpha p_alpha * (d^alpha p), every term
-        added straight into one map by `Ring.add_derivative`, which
-        degree-checks each product p_alpha * (d^alpha p) as it forms it."""
-        ring = self.ring
-        if p.ring != ring:
-            raise ContextMismatchError(f"{ring!r} vs {p.ring!r}")
-        out = {}
-        for alpha, coeff in self.terms.items():
-            ring.add_derivative(out, p.terms, alpha, coeff.terms)
-        return Poly(ring, {key: c for key, c in out.items() if c}, _trusted=True)
+        """Act on a polynomial: sum_alpha p_alpha * (d^alpha p). Each product
+        degree-checks the lead of d^alpha p, which holds only the terms that
+        d^alpha keeps."""
+        if p.ring != self.ring:
+            raise ContextMismatchError(f"{self.ring!r} vs {p.ring!r}")
+        return sum((coeff * p.diff_multi(alpha) for alpha, coeff in self.terms.items()),
+                   self.ring.zero())
 
     def subs(self, assignment: Mapping[str, object]) -> "WeylOp":
         """Substitute parameter values into every coefficient.

@@ -1,6 +1,8 @@
 """Embedded Casimirs: L operators, provenance, equality with the realization."""
 
 import re
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -8,15 +10,21 @@ import pytest
 from weylracah import (
     RacahContext,
     WeylOp,
+    basis,
     embedded_c_pair,
     embedded_c_set,
     eval_tree,
+    eval_tree_matrix,
     l_op,
     l_op_pair,
+    to_matrix,
     verify_embedding,
 )
-from weylracah.embed import EmbeddedExpr
-from weylracah.sln import GenEuler, GenT, GenTtilde, ProdNode, ScalarNode, SumNode
+from weylracah.embed import EmbeddedExpr, _lead_blocks
+from weylracah.sln import GenEuler, GenT, GenTtilde, ProdNode, ScalarNode, SumNode, evaluate
+
+# n=4, k=2 with rational nu
+VALUES = {"k": 2, "nu1": Fraction(3, 2), "nu2": Fraction(-4, 3), "nu3": Fraction(7, 5), "nu4": 5}
 
 
 @pytest.fixture
@@ -266,3 +274,105 @@ def test_readme_library_example(capsys):
     exec(compile(example, "README.md", "exec"), {})
     out = capsys.readouterr().out
     assert "C(1,3)" in out and "[FAIL]" not in out
+
+
+# -- the model's memo of provenance nodes ------------------------------------
+
+
+def test_rebuilt_trees_form_no_new_product(monkeypatch):
+    # the model keeps the value of every node it has evaluated, so the lead
+    # blocks and pair trees built again, as equal but new nodes, are read back
+    rc = RacahContext(5)
+    pairs = list(combinations(range(1, rc.n + 1), 2))
+
+    def build():
+        blocks = [x.op for lo, hi in pairs for x in _lead_blocks(rc, lo, hi)[1:]]
+        return blocks + [embedded_c_pair(rc, lo, hi).op for lo, hi in pairs]
+
+    first = build()
+    trees = [embedded_c_pair(rc, lo, hi).tree for lo, hi in pairs]
+    rc.embedded_pairs.clear()
+    calls = []
+    leibniz = WeylOp._leibniz
+
+    def counted(self, other, start):
+        calls.append(start)
+        return leibniz(self, other, start)
+
+    monkeypatch.setattr(WeylOp, "_leibniz", counted)
+    again = build()
+    assert calls == []
+    assert all(a is b for a, b in zip(first, again))
+    rebuilt = [embedded_c_pair(rc, lo, hi).tree for lo, hi in pairs]
+    assert rebuilt == trees and not any(a is b for a, b in zip(rebuilt, trees))
+
+
+class Fault(Exception):
+    """Raised by a generator image that cannot be formed."""
+
+
+def test_raising_node_is_not_memoised(monkeypatch):
+    # t_op(2, 1) raises: no node above it enters the model's cache, those
+    # beside it do, and the tree evaluates once the fault is gone
+    rc = RacahContext(4)
+    tree = embedded_c_pair(rc, 1, 3).tree
+    t_op = rc.dm.t_op
+
+    def faulty(i, j):
+        if (i, j) == (2, 1):
+            raise Fault("no image")
+        return t_op(i, j)
+
+    def holds_bad(node):
+        return node == GenT(2, 1) or any(map(holds_bad, getattr(node, "parts", ())))
+
+    monkeypatch.setattr(rc.dm, "t_op", faulty)
+    for _ in range(2):
+        with pytest.raises(Fault):
+            evaluate(tree, rc.dm)
+        assert holds_bad(tree) and not any(map(holds_bad, rc.dm._values))
+        assert any(isinstance(node, (SumNode, ProdNode)) for node in rc.dm._values)
+    monkeypatch.setattr(rc.dm, "t_op", t_op)
+    assert evaluate(tree, rc.dm) == rc.c_pair(1, 3)
+    assert tree in rc.dm._values
+
+
+def test_matrix_evaluation_keeps_out_of_the_model_cache():
+    rc = RacahContext(4)
+    pi = basis(rc.ring, 2)
+    tree = embedded_c_pair(rc, 1, 3).tree
+    direct = to_matrix(rc.c_pair(1, 3), pi, VALUES)
+    assert eval_tree_matrix(rc, tree, pi, VALUES) == direct
+    assert rc.dm._values == {}
+    # with the symbolic values in place, the matrix walk still reads none of them
+    op = eval_tree(rc, tree)
+    values = dict(rc.dm._values)
+    assert eval_tree_matrix(rc, tree, pi, VALUES) == direct
+    assert rc.dm._values == values and rc.dm._values[tree] is op
+
+
+def test_contexts_share_no_values():
+    a, b = RacahContext(4), RacahContext(4)
+    ea, eb = embedded_c_pair(a, 1, 3), embedded_c_pair(b, 1, 3)
+    assert ea.tree == eb.tree and ea.op == eb.op and ea.op is not eb.op
+    assert a.dm._values.keys() == b.dm._values.keys()
+    assert {id(v) for v in a.dm._values.values()}.isdisjoint(map(id, b.dm._values.values()))
+    assert all(v.ring is a.ring for v in a.dm._values.values())
+    assert all(v.ring is b.ring for v in b.dm._values.values())
+
+
+def test_unhashable_part_raises_on_both_backends(rc4):
+    # every node is a cache key, so a part that cannot be hashed, such as an
+    # operator put in a tree, fails the lookup; a hashable foreign part
+    # reaches the walk and is named
+    tree = ProdNode((GenT(3, 1), rc4.dm.t_op(3, 1)))
+    pi = basis(rc4.ring, 2)
+    with pytest.raises(TypeError, match=r"^unhashable type: 'WeylOp'$"):
+        eval_tree(rc4, tree)
+    with pytest.raises(TypeError, match=r"^unhashable type: 'WeylOp'$"):
+        eval_tree_matrix(rc4, tree, pi, VALUES)
+    foreign = SumNode((GenT(3, 1), "junk"))
+    with pytest.raises(TypeError, match=r"^not a provenance node: 'junk'$"):
+        eval_tree(rc4, foreign)
+    with pytest.raises(TypeError, match=r"^not a provenance node: 'junk'$"):
+        eval_tree_matrix(rc4, foreign, pi, VALUES)

@@ -85,24 +85,6 @@ def test_arithmetic_matches_tuple_reference(a, b, order):
 
 
 @settings(max_examples=200, deadline=None)
-@given(tables, tables, orders)
-def test_ring_derivative_pass_matches_diff_multi(a, b, order):
-    # the one derivative pass, alone and with a coefficient as apply uses it
-    p, q = Poly(RING, a), Poly(RING, b)
-    alone = {}
-    RING.add_derivative(alone, p.terms, order)
-    assert Poly(RING, alone, _trusted=True) == p.diff_multi(order)
-    scaled = {}
-    RING.add_derivative(scaled, p.terms, order, q.terms)
-    nonzero = {m: c for m, c in scaled.items() if c}
-    assert Poly(RING, nonzero, _trusted=True) == q * p.diff_multi(order)
-    # into a map that already holds terms, the pass adds
-    RING.add_derivative(scaled, p.terms, order, q.terms)
-    nonzero = {m: c for m, c in scaled.items() if c}
-    assert Poly(RING, nonzero, _trusted=True) == 2 * q * p.diff_multi(order)
-
-
-@settings(max_examples=200, deadline=None)
 @given(tables, rationals, rationals)
 def test_subs_matches_tuple_reference(a, x, y):
     p = Poly(RING, a)

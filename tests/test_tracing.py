@@ -109,6 +109,48 @@ def test_oracle_unit_work_counts(monkeypatch):
     assert len(unit_ctx.embedded_pairs) == 10 and len(unit_ctx.ring._rows) == 10
 
 
+def test_small_checks_unit_work_counts(monkeypatch):
+    # one small-checks-n7 unit: the model memoises every provenance node it
+    # evaluates, 672 of them, so a value that the membership checks and the
+    # embedding trees share is formed once. Before that memo (generator and
+    # Euler leaves only, per call) the unit formed 1353 WeylOp products and
+    # 2527 WeylOp additions
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    import weylracah
+    from weylracah.weyl import WeylOp
+
+    counts = Counter()
+    mul, add = WeylOp.__mul__, WeylOp.__add__
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counted_add(self, other):
+        counts["add"] += 1
+        return add(self, other)
+
+    monkeypatch.setattr(WeylOp, "__mul__", counted_mul)
+    monkeypatch.setattr(WeylOp, "__add__", counted_add)
+    contexts = []
+    init = weylracah.racah.RacahContext.__init__
+
+    def recorded(self, n):
+        contexts.append(self)
+        init(self, n)
+
+    monkeypatch.setattr(weylracah.racah.RacahContext, "__init__", recorded)
+    small = workloads.SmallChecks()
+    ops = small.unit(weylracah, {"check_probes": {}}, 0)
+    assert len(ops) == small.expected == 1794 and all(op.ok for op in ops)
+    assert counts == Counter(mul=895, add=1323)
+    assert len(contexts[-1].dm._values) == 672
+
+
 def test_racah_unit_work_counts(monkeypatch):
     # one racah-n5 unit: 45 table commutators, each d^gamma q of a pair
     # Casimir formed once in that operator's derivative table, and no
