@@ -73,9 +73,10 @@ class Ring:
     Exponent vectors are flat tuples ordered (u1..um, k, nu1..nun); `pack`
     and `unpack` convert them to and from packed monomials, and `shifts[pos]`
     is the offset of symbol pos's field. Rings with equal shape are
-    interchangeable. `texts` caches the printed form of monomials for
-    printing, `_plans` the plans of `Poly.diff_multi`, and `_rows` the
-    derivative rows on a bounded-degree basis that `repmat.to_matrix` reads.
+    interchangeable. `texts` caches the printed factors of packed monomials
+    (int keys) and of derivative exponents (tuple keys), `_plans` the plans
+    of `Poly.diff_multi`, and `_rows` the derivative rows on a bounded-degree
+    basis that `repmat.to_matrix` reads.
     """
 
     __slots__ = ("num_vars", "num_nu", "names", "_index", "shifts", "degree_shift", "u_mask",
@@ -96,7 +97,7 @@ class Ring:
         self.shifts = tuple(FIELD * (width - 1 - pos) for pos in range(width))
         self.degree_shift = FIELD * width
         self.u_mask = sum(MAX_DEGREE << shift for shift in self.shifts[:num_vars])
-        self.texts: dict[int, str] = {}
+        self.texts: dict[int | tuple, str] = {}
         self._plans: dict[tuple, tuple] = {}
         self._rows: dict[tuple, list] = {}
 
@@ -410,10 +411,6 @@ class Poly(SparseSum):
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
-
-    def sorted_terms(self):
-        """Terms in decreasing graded-lex order, for printing and reports."""
-        return sorted(self.terms.items(), reverse=True)
 
     def __repr__(self):
         from .printing import format_poly

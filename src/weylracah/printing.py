@@ -17,43 +17,45 @@ def _power(name: str, exp: int) -> str:
     return name if exp == 1 else f"{name}^{exp}"
 
 
-def _monomial_text(ring, monomial: int) -> str:
-    """The factors of a packed monomial, "" for 1; cached in `ring.texts`."""
-    text = ring.texts.get(monomial)
+def _factor_text(ring, key) -> str:
+    """The factors of a packed monomial (an int) or of a derivative exponent
+    (a tuple), "" for 1; cached in `ring.texts`, where the two never collide."""
+    text = ring.texts.get(key)
     if text is None:
-        exps = ring.unpack(monomial)
-        text = " ".join(_power(name, exp) for name, exp in zip(ring.names, exps) if exp)
-        ring.texts[monomial] = text
+        pairs = zip(ring.names, ring.unpack(key)) if type(key) is int else (
+            (f"d{pos + 1}", exp) for pos, exp in enumerate(key))
+        text = ring.texts[key] = " ".join(_power(name, exp) for name, exp in pairs if exp)
     return text
 
 
-def _render(ring, flat_terms) -> str:
-    """Text of (coeff, monomial, derivative text) triples in order."""
-    if not flat_terms:
-        return "0"
+def _render(ring, groups) -> str:
+    """Text of (derivative exponent, coefficient) pairs in order, the terms
+    of each coefficient by decreasing monomial."""
+    texts = ring.texts
     pieces = []
-    for index, (coeff, monomial, derivative) in enumerate(flat_terms):
-        factors = [text for text in (_monomial_text(ring, monomial), derivative) if text]
-        magnitude = abs(coeff)
-        if magnitude != 1 or not factors:
-            factors.insert(0, str(magnitude))
-        body = " ".join(factors)
-        if index == 0:
-            pieces.append(f"-{body}" if coeff < 0 else body)
-        else:
-            pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
-    return " ".join(pieces)
+    for alpha, p in groups:
+        coeffs = p.terms
+        derivative = _factor_text(ring, alpha)
+        for monomial in sorted(coeffs, reverse=True):
+            coeff = coeffs[monomial]
+            factors = texts[monomial] if monomial in texts else _factor_text(ring, monomial)
+            if derivative:
+                factors = f"{factors} {derivative}" if factors else derivative
+            sign, coeff = "-" if coeff < 0 else "+", abs(coeff)
+            if coeff != 1 or not factors:
+                factors = f"{coeff} {factors}" if factors else str(coeff)
+            pieces.append(f"{sign} {factors}")
+    if not pieces:
+        return "0"
+    text = " ".join(pieces)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def print_canonical(op: WeylOp) -> str:
     """Normal form of an operator, one flat term per rational coefficient."""
-    flat = []
-    for alpha in sorted(op.terms, key=lambda a: (sum(a), a), reverse=True):
-        derivative = " ".join(_power(f"d{pos + 1}", exp) for pos, exp in enumerate(alpha) if exp)
-        for monomial, coeff in op.terms[alpha].sorted_terms():
-            flat.append((coeff, monomial, derivative))
-    return _render(op.ring, flat)
+    order = sorted(op.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
+    return _render(op.ring, order)
 
 
 def format_poly(p: Poly) -> str:
-    return _render(p.ring, [(coeff, monomial, "") for monomial, coeff in p.sorted_terms()])
+    return _render(p.ring, [((), p)])

@@ -6,6 +6,9 @@ import json
 import time
 from dataclasses import dataclass, field
 
+from .poly import Poly
+from .weyl import WeylOp
+
 __all__ = ["Check", "Report", "timed_check"]
 
 
@@ -79,6 +82,9 @@ def timed_check(check_id: str, description: str, build) -> Check:
 
     An exception in build() or in the comparison fails this check alone,
     with the error text as its lhs, so the rest of the suite still runs.
+
+    A passing check whose sides are both `WeylOp` or both `Poly` prints its
+    lhs once, for both texts: equal values of those types print alike.
     """
     start = time.perf_counter()
     try:
@@ -88,4 +94,6 @@ def timed_check(check_id: str, description: str, build) -> Check:
         ms = (time.perf_counter() - start) * 1000.0
         return Check(check_id, description, f"{type(exc).__name__}: {exc}", "", False, ms)
     ms = (time.perf_counter() - start) * 1000.0
-    return Check(check_id, description, repr(lhs), repr(rhs), equal, ms)
+    text = repr(lhs)
+    once = equal and type(lhs) is type(rhs) and type(lhs) in (WeylOp, Poly)
+    return Check(check_id, description, text, text if once else repr(rhs), equal, ms)

@@ -10,12 +10,14 @@ operator equality is plain map equality.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 from operator import add, sub
 from typing import Mapping
 
-from .poly import SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum, _add_products
+from .poly import (MAX_DEGREE, SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum,
+                   _add_products)
 
 __all__ = ["WeylOp"]
 
@@ -126,16 +128,18 @@ class WeylOp(SparseSum):
         return self.ring.capped_degrees(monomials, map(max, zip(*left.terms)))
 
     def product_work(self, other: "WeylOp", start: int = 0) -> int:
-        """Coefficient term pairs that the Leibniz kernel `_leibniz` can form
-        composing self after other: each term of self meets each term of
-        other once per gamma of its Leibniz expansion, leaving out gamma = 0
-        when start is 1, as each order of a commutator does."""
-        top = other._u_degrees(self)
-        size = sum(len(q.terms) for q in other.terms.values())
-        return size * sum(
-            len(p.terms) * (math.prod(min(a, t) + 1 for a, t in zip(alpha, top)) - start)
-            for alpha, p in self.terms.items()
-        )
+        """Coefficient term pairs that the Leibniz kernel `_leibniz` forms
+        composing self after other, leaving out gamma = 0 when start is 1, as
+        each order of a commutator does. A term of self at d^alpha meets a
+        term of other with u-exponents e once per gamma <= min(alpha, e), as
+        d^gamma keeps just the terms with e >= gamma: counted from exponents
+        (masked to the variables both operands reach), with no product."""
+        top, shifts = other._u_degrees(self), self.ring.shifts
+        mask = sum(MAX_DEGREE << shift for shift, t in zip(shifts, top) if t)
+        exps = Counter(m & mask for q in other.terms.values() for m in q.terms).items()
+        return sum(len(p.terms) * count * (math.prod(min(a, e >> s & MAX_DEGREE) + 1
+                                                     for a, s in zip(alpha, shifts)) - start)
+                   for alpha, p in self.terms.items() for e, count in exps)
 
     def _leibniz(self, other: "WeylOp", start: int) -> "WeylOp":
         """self after other, or with start=1 their commutator: the Leibniz

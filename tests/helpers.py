@@ -136,3 +136,59 @@ def perturbed_context(n: int) -> RacahContext:
     u1_d1 = WeylOp.from_poly(ctx.ring.u(1)) * WeylOp.partial(ctx.ring, 1)
     ctx._pairs[(1, 3)] = (ctx.c_pair_lead(1, 3), ctx.c_pair(1, 3) + u1_d1)
     return ctx
+
+
+def _reference_power(name: str, exp: int) -> str:
+    return name if exp == 1 else f"{name}^{exp}"
+
+
+def _reference_render(ring: Ring, flat_terms) -> str:
+    """Text of (coeff, monomial, derivative text) triples in order, each
+    monomial's factors spelled out from its exponents with no cache."""
+    if not flat_terms:
+        return "0"
+    pieces = []
+    for index, (coeff, monomial, derivative) in enumerate(flat_terms):
+        exps = ring.unpack(monomial)
+        monomial_text = " ".join(
+            _reference_power(name, exp) for name, exp in zip(ring.names, exps) if exp
+        )
+        factors = [text for text in (monomial_text, derivative) if text]
+        magnitude = abs(coeff)
+        if magnitude != 1 or not factors:
+            factors.insert(0, str(magnitude))
+        body = " ".join(factors)
+        if index == 0:
+            pieces.append(f"-{body}" if coeff < 0 else body)
+        else:
+            pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
+    return " ".join(pieces)
+
+
+def reference_print(op: WeylOp) -> str:
+    """The canonical text of an operator, built term by term: derivative
+    exponents by decreasing (total order, exponent), then monomials by
+    decreasing packed key, the order `printing.print_canonical` keeps."""
+    flat = []
+    for alpha in sorted(op.terms, key=lambda a: (sum(a), a), reverse=True):
+        derivative = " ".join(
+            _reference_power(f"d{pos + 1}", exp) for pos, exp in enumerate(alpha) if exp
+        )
+        for monomial, coeff in sorted(op.terms[alpha].terms.items(), reverse=True):
+            flat.append((coeff, monomial, derivative))
+    return _reference_render(op.ring, flat)
+
+
+def reference_format_poly(p: Poly) -> str:
+    """The canonical text of a polynomial, as `printing.format_poly` prints it."""
+    return _reference_render(p.ring, [(c, m, "") for m, c in sorted(p.terms.items(), reverse=True)])
+
+
+def reference_text(value) -> str:
+    """The text a report holds for a check operand: the reference printers
+    for operators and polynomials, repr for anything else."""
+    if type(value) is WeylOp:
+        return reference_print(value)
+    if type(value) is Poly:
+        return reference_format_poly(value)
+    return repr(value)

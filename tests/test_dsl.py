@@ -255,11 +255,13 @@ def test_product_work_counts_leibniz_terms():
     ring = rc5.ring
     a = run("d1^2 d2 + u2", rc5)  # alpha (2,1,0) and (0,0,0)
     b = run("u1^3 u2 + u3 + k", rc5)  # 3 terms, u-degrees (3,1,1)
+    # d^gamma keeps the 3 terms of b at gamma = 0 and only u1^3 u2 at the
+    # other 5 gamma <= (2,1,0)
     assert b.product_work(a) == 3 * 2
-    assert a.product_work(b) == 3 * (3 * 2 * 1 + 1)
+    assert a.product_work(b) == (3 + 5) + 3
     # start=1 leaves out gamma = 0, as the commutator's Leibniz loop does
     assert b.product_work(a, 1) == 0
-    assert a.product_work(b, 1) == 3 * (3 * 2 * 1 - 1)
+    assert a.product_work(b, 1) == 5
     p, q = WeylOp.from_poly(ring.u(1) + ring.k()), WeylOp.from_poly(ring.u(2) - 1)
     assert p.product_work(q) == 2 * 2
 
@@ -268,14 +270,14 @@ def test_product_work_limit(monkeypatch, capsys):
     # the limit is lowered, so no over-limit product is ever attempted
     rc5 = RacahContext(5)
     base = "(u1+u2+u3+d1+d2+d3)"
-    # the factors of base^4, from the identity, cost 6, 54, 258 and 882 term
-    # pairs, 1200 together; the fifth costs 2436
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 1200)
+    # the factors of base^4, from the identity, cost 6, 39, 150 and 438 term
+    # pairs, 633 together; the fifth costs 1074
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 633)
     assert run(base + "^4", rc5) == run(base, rc5) ** 4
     with pytest.raises(ParseError) as info:
         run(base + "^5", rc5)
     assert info.value.position is None
-    assert str(info.value) == "an expression of 3636 coefficient term pairs exceeds the limit 1200"
+    assert str(info.value) == "an expression of 1707 coefficient term pairs exceeds the limit 633"
     # one budget for the whole expression: each power alone fits, not the sum
     for text in (
         base + "^3 " + base + "^2",
@@ -284,7 +286,7 @@ def test_product_work_limit(monkeypatch, capsys):
         base + "^4 + " + base + "^4",
         base + "^2 - " + base + "^4",
     ):
-        with pytest.raises(ParseError, match="exceeds the limit 1200"):
+        with pytest.raises(ParseError, match="exceeds the limit 633"):
             run(text, rc5)
     monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 100)
     assert run_cli(["commute", "--n", "5", "--lhs", "C[1,2]", "--rhs", base + "^3"]) == 2
@@ -295,13 +297,13 @@ def test_product_work_limit(monkeypatch, capsys):
 
 def test_commute_work_limit(monkeypatch, capsys):
     # both products of the commutator count against the request's one
-    # budget, after the 6 + 54 pairs of the two factors of the right side's
+    # budget, after the 6 + 39 pairs of the two factors of the right side's
     # square; over it the commutator is never composed
     argv = ["commute", "--n", "5", "--lhs", "C[1,2]", "--rhs", "(u1+u2+u3+d1+d2+d3)^2"]
     rc5 = RacahContext(5)
     lhs, rhs = run("C[1,2]", rc5), run("(u1+u2+u3+d1+d2+d3)^2", rc5)
-    assert lhs.product_work(rhs, 1) + rhs.product_work(lhs, 1) == 1628
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 60 + 1628)
+    assert lhs.product_work(rhs, 1) + rhs.product_work(lhs, 1) == 333
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 45 + 333)
     assert run_cli(argv) == 0
     assert capsys.readouterr().out.strip()
 
@@ -309,12 +311,12 @@ def test_commute_work_limit(monkeypatch, capsys):
         raise AssertionError("over-limit commutator composed")
 
     monkeypatch.setattr(WeylOp, "commutator", refuse)
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 60 + 1627)
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 45 + 332)
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: a commute request of 1688 coefficient term pairs exceeds the limit 1687\n"
+        "error: a commute request of 378 coefficient term pairs exceeds the limit 377\n"
     )
 
 

@@ -99,8 +99,9 @@ def test_order_and_degrees_match_tuple_reference(a):
     p = Poly(RING, a)
     a = clean(a)
     order = sorted(a, key=lambda e: (sum(e), e), reverse=True)
-    assert [RING.unpack(m) for m, _ in p.sorted_terms()] == order
-    assert [c for _, c in p.sorted_terms()] == [a[e] for e in order]
+    # decreasing packed monomials are decreasing graded-lex order
+    assert [RING.unpack(m) for m in sorted(p.terms, reverse=True)] == order
+    assert [p.terms[m] for m in sorted(p.terms, reverse=True)] == [a[e] for e in order]
     assert total_degree(p) == max((sum(e) for e in a), default=0)
     assert u_degree(p) == max((sum(e[:2]) for e in a), default=0)
     assert p.is_u_free() == all(e[:2] == (0, 0) for e in a)

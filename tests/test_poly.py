@@ -96,7 +96,7 @@ def test_subs_stores_integral_values_as_ints(ring):
     p = nu1 * nu2 * ring.u(1) + (nu1 + nu2) * ring.k() + Rat(1, 3) * nu1
     out = p.subs({"nu1": Rat(3, 2), "nu2": Rat(4, 3)})
     assert out == 2 * ring.u(1) + Rat(17, 6) * ring.k() + Rat(1, 2)
-    assert [type(c) for _, c in out.sorted_terms()] == [int, Fraction, Fraction]
+    assert [type(c) for _, c in sorted(out.terms.items(), reverse=True)] == [int, Fraction, Fraction]
     # terms that meet under substitution: 1/2 + 1/2 is stored as 1
     half = (nu1 + nu2).subs({"nu1": Rat(1, 2), "nu2": Rat(1, 2)})
     assert half.terms == {0: 1} and type(half.terms[0]) is int

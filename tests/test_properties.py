@@ -3,9 +3,16 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import diff, random_weyl, reference_leibniz
+from helpers import (
+    diff,
+    random_weyl,
+    reference_format_poly,
+    reference_leibniz,
+    reference_print,
+)
 from weylracah import (
     OpMatrix,
     Poly,
@@ -14,9 +21,12 @@ from weylracah import (
     Ring,
     WeylOp,
     elaborate,
+    format_poly,
     parse,
     print_canonical,
+    weyl,
 )
+from weylracah.poly import _add_products as add_products
 
 RING = Ring(2, 1)
 RC = RacahContext(4)
@@ -270,3 +280,69 @@ def test_matrix_kernel_matches_dense_fractions(pair):
     ]
     assert ma.commutator(rows_to_matrix(poly_a)).is_zero()
     assert ma.commutator(ma).is_zero()
+
+
+# Printer cases: two ring shapes, each with a ring that every example warms
+# and a fresh ring built per example.
+PRINT_SHAPES = {(2, 1): Ring(2, 1), (4, 3): Ring(4, 3)}
+print_coefficients = st.one_of(
+    st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-1)]),
+    st.integers(min_value=-(10**30), max_value=10**30).filter(bool),
+    st.fractions(max_denominator=10**12).filter(bool),
+)
+print_exponents = st.one_of(st.integers(0, 2), st.integers(0, 2), st.integers(3, 400))
+
+
+@st.composite
+def printer_cases(draw):
+    """A ring shape and an operator's raw terms {alpha: {packed monomial:
+    coefficient}}: high exponents, constants, integral Fractions stored as
+    they are, and the zero operator."""
+    shape = draw(st.sampled_from(sorted(PRINT_SHAPES)))
+    ring = PRINT_SHAPES[shape]
+    width = len(ring.names)
+    alphas = st.tuples(*[print_exponents] * ring.num_vars)
+    monomials = st.one_of(st.just((0,) * width), st.tuples(*[print_exponents] * width))
+    coeffs = st.dictionaries(monomials, print_coefficients, min_size=1, max_size=4)
+    terms = draw(st.dictionaries(alphas, coeffs, max_size=4))
+    return shape, {alpha: {ring.pack(e): c for e, c in m.items()} for alpha, m in terms.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(printer_cases())
+def test_printers_match_reference(case):
+    shape, terms = case
+    texts = []
+    for ring in (PRINT_SHAPES[shape], Ring(*shape), Ring(*shape)):
+        op = WeylOp(ring, {a: Poly(ring, dict(m), _trusted=True) for a, m in terms.items()},
+                    _trusted=True)
+        for _ in range(2):  # the second print reads the texts the first cached
+            text = print_canonical(op)
+            assert text == reference_print(op)
+            texts.append(text)
+            for p in op.terms.values():
+                assert format_poly(p) == reference_format_poly(p)
+    assert len(set(texts)) == 1
+    assert (texts[0] == "0") == (not terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(leibniz_cases())
+def test_product_work_counts_formed_pairs(case):
+    # product_work against the term pairs that _add_products receives
+    a, b = case
+    pairs = [0]
+
+    def counted(acc, x, y, weight):
+        pairs[0] += len(x) * len(y)
+        return add_products(acc, x, y, weight)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weyl, "_add_products", counted)
+        for left, right in ((a, b), (b, a), (a, a), (a * b, b)):
+            pairs[0] = 0
+            left * right
+            assert pairs[0] == left.product_work(right)
+            pairs[0] = 0
+            left.commutator(right)
+            assert pairs[0] == left.product_work(right, 1) + right.product_work(left, 1)

@@ -114,17 +114,19 @@ def test_small_checks_unit_work_counts(monkeypatch):
     # evaluates, 672 of them, so a value that the membership checks and the
     # embedding trees share is formed once. Before that memo (generator and
     # Euler leaves only, per call) the unit formed 1353 WeylOp products and
-    # 2527 WeylOp additions
+    # 2527 WeylOp additions. Each passing check of an operator prints it
+    # once, 1773 print_canonical calls; printing both sides took 3546
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
     import weylracah
+    from weylracah import printing
     from weylracah.weyl import WeylOp
 
     counts = Counter()
-    mul, add = WeylOp.__mul__, WeylOp.__add__
+    mul, add, print_canonical = WeylOp.__mul__, WeylOp.__add__, printing.print_canonical
 
     def counted_mul(self, other):
         counts["mul"] += 1
@@ -134,8 +136,13 @@ def test_small_checks_unit_work_counts(monkeypatch):
         counts["add"] += 1
         return add(self, other)
 
+    def counted_print(op):
+        counts["print"] += 1
+        return print_canonical(op)
+
     monkeypatch.setattr(WeylOp, "__mul__", counted_mul)
     monkeypatch.setattr(WeylOp, "__add__", counted_add)
+    monkeypatch.setattr(printing, "print_canonical", counted_print)
     contexts = []
     init = weylracah.racah.RacahContext.__init__
 
@@ -147,7 +154,7 @@ def test_small_checks_unit_work_counts(monkeypatch):
     small = workloads.SmallChecks()
     ops = small.unit(weylracah, {"check_probes": {}}, 0)
     assert len(ops) == small.expected == 1794 and all(op.ok for op in ops)
-    assert counts == Counter(mul=895, add=1323)
+    assert counts == Counter(mul=895, add=1323, print=1773)
     assert len(contexts[-1].dm._values) == 672
 
 
