@@ -97,10 +97,10 @@ class RacahContext:
 
     def c_pair(self, i: int, j: int) -> WeylOp:
         """Two-factor Casimir -f^2 A B + 2 nu_hi f P + 2 nu_lo f Q + s (s - 1),
-        s = nu_lo + nu_hi, over the shape (f, A, B, P, Q) of the sorted pair.
-
-        Its quadratic leading term -f^2 A B is cached with the operator (see
-        `c_pair_lead`).
+        s = nu_lo + nu_hi, over the shape (f, A, B, P, Q) of the sorted pair,
+        as lead + f (2 nu_hi P + 2 nu_lo Q) + s (s - 1): A B is its one kernel
+        product, and the quadratic leading term lead = -f^2 (A B) is cached
+        with the operator (see `c_pair_lead`).
         """
         lo, hi = self.pair_key(i, j)
         cached = self._pairs.get((lo, hi))
@@ -108,8 +108,8 @@ class RacahContext:
             return cached[1]
         f, a, b, p, q = self._pair_shape(lo, hi)
         nu = self.ring.nu
-        lead = -(f**2 * (a * b))
-        op = lead + 2 * nu(hi) * (f * p) + 2 * nu(lo) * (f * q) + self.nu_casimir(lo, hi)
+        lead = -f**2 * (a * b)
+        op = lead + f * (2 * nu(hi) * p + 2 * nu(lo) * q) + self.nu_casimir(lo, hi)
         self._pairs[(lo, hi)] = (lead, op)
         return op
 

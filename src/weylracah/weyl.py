@@ -3,8 +3,8 @@
 An operator is a finite map from partial-derivative exponent vectors to
 polynomial coefficients, meaning sum_alpha p_alpha(u, params) d^alpha with
 every multiplication operator to the left of every derivative. Composition
-re-establishes this normal form through the multivariate Leibniz rule, so
-operator equality is plain map equality.
+re-establishes this normal form by the Leibniz rule, or coefficient-wise for a
+left operand without derivatives, so operator equality is plain map equality.
 """
 
 from __future__ import annotations
@@ -38,6 +38,17 @@ def _lower_exponents(alpha: tuple, top: tuple) -> tuple:
             weight *= math.comb(a, g)
         out.append((gamma, weight))
     return tuple(out)
+
+
+def _normal(ring: Ring, out: dict) -> "WeylOp":
+    """The operator of {exponent: {monomial: coefficient}} sums, zeros dropped."""
+    terms = {}
+    for exp, acc in out.items():
+        if not all(acc.values()):
+            acc = {m: c for m, c in acc.items() if c}
+        if acc:
+            terms[exp] = Poly(ring, acc, _trusted=True)
+    return WeylOp(ring, terms, _trusted=True)
 
 
 class WeylOp(SparseSum):
@@ -111,13 +122,21 @@ class WeylOp(SparseSum):
         return other
 
     def __mul__(self, other):
-        """Normal-ordered composition self after other."""
+        """Normal-ordered composition self after other. A multiplication operator
+        self = p composes coefficient-wise, p q_beta d^beta: no Leibniz term has gamma > 0."""
         if type(other) in SCALAR_TYPES:
             return self._scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._leibniz(other, 0)
+        if len(self.terms) != 1 or any(next(iter(self.terms))):
+            return self._leibniz(other, 0)
+        (p,) = self.terms.values()
+        lead, out = max(p.terms), {}
+        for beta, q in other.terms.items():
+            self.ring.check_product(lead, max(q.terms))
+            _add_products(out.setdefault(beta, {}), p.terms, q.terms, 1)
+        return _normal(self.ring, out)
 
     def _u_degrees(self, left: "WeylOp") -> tuple:
         """The largest exponent of each u-variable over all coefficients,
@@ -185,13 +204,7 @@ class WeylOp(SparseSum):
                         if acc is None:
                             acc = out[exp] = {}
                         _add_products(acc, p.terms, dq[0], weight)
-        terms = {}
-        for exp, acc in out.items():
-            if not all(acc.values()):
-                acc = {m: c for m, c in acc.items() if c}
-            if acc:
-                terms[exp] = Poly(ring, acc, _trusted=True)
-        return WeylOp(ring, terms, _trusted=True)
+        return _normal(ring, out)
 
     def __rmul__(self, other):
         if type(other) in SCALAR_TYPES:

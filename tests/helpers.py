@@ -129,6 +129,23 @@ def reference_leibniz(left: WeylOp, right: WeylOp, start: int = 0) -> WeylOp:
     return total
 
 
+def kernel_c_pair(ctx: RacahContext, i: int, j: int) -> tuple[WeylOp, WeylOp]:
+    """(lead, op) of the pair Casimir assembled as -(f^2 (A B)) + 2 nu_hi (f P)
+    + 2 nu_lo (f Q) + s (s - 1) over the shape of the sorted pair, with every
+    operator product composed by the Leibniz kernel `_leibniz`, a polynomial
+    factor as its multiplication operator."""
+    lo, hi = ctx.pair_key(i, j)
+    f, a, b, p, q = ctx._pair_shape(lo, hi)
+    nu = ctx.ring.nu
+
+    def kernel(x: Poly, y: WeylOp) -> WeylOp:
+        return WeylOp.from_poly(x)._leibniz(y, 0)
+
+    lead = -kernel(f**2, a._leibniz(b, 0))
+    middle = kernel(2 * nu(hi), kernel(f, p)) + kernel(2 * nu(lo), kernel(f, q))
+    return lead, lead + middle + ctx.nu_casimir(lo, hi)
+
+
 def perturbed_context(n: int) -> RacahContext:
     """A racah context at n whose C_13 has u1 d1 added, which breaks the
     cyclic triples through (1, 3)."""

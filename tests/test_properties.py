@@ -194,6 +194,23 @@ def fresh(op: WeylOp) -> WeylOp:
     return WeylOp(RING, dict(op.terms))
 
 
+@settings(max_examples=100, deadline=None)
+@given(polys, weyl_ops, rationals, d_exponents)
+def test_multiplication_operator_product_matches_kernel(f, a, c, alpha):
+    # f a composes coefficient-wise; it must equal the Leibniz kernel and the
+    # Poly reference, for a constant f, a zero a, and (u1 + 1)(u1 - 1), whose
+    # u1 terms cancel
+    u1 = RING.u(1)
+    cancelling = WeylOp(RING, {alpha: u1 - 1})
+    cases = [(f, a), (RING.const(c), a), (f, WeylOp.zero(RING)), (u1 + 1, cancelling + a)]
+    for p, op in cases:
+        left = WeylOp.from_poly(p)
+        expected = reference_leibniz(left, op)
+        assert p * op == left * op == expected == fresh(left)._leibniz(fresh(op), 0)
+        assert_normal(left * op)
+    assert (u1 + 1) * cancelling == WeylOp(RING, {alpha: u1**2 - 1})
+
+
 @settings(max_examples=60, deadline=None)
 @given(weyl_ops, st.lists(weyl_ops, min_size=1, max_size=4))
 def test_derivative_table_serves_later_calls(right, lefts):
@@ -327,9 +344,10 @@ def test_printers_match_reference(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(leibniz_cases())
-def test_product_work_counts_formed_pairs(case):
-    # product_work against the term pairs that _add_products receives
+@given(leibniz_cases(), polys)
+def test_product_work_counts_formed_pairs(case, p):
+    # product_work against the term pairs that _add_products receives, on
+    # the kernel and on the coefficient-wise path of a multiplication operator
     a, b = case
     pairs = [0]
 
@@ -339,7 +357,7 @@ def test_product_work_counts_formed_pairs(case):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(weyl, "_add_products", counted)
-        for left, right in ((a, b), (b, a), (a, a), (a * b, b)):
+        for left, right in ((a, b), (b, a), (a, a), (a * b, b), (WeylOp.from_poly(p), a)):
             pairs[0] = 0
             left * right
             assert pairs[0] == left.product_work(right)

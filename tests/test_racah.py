@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import random_invariant_op
+from helpers import kernel_c_pair, random_invariant_op
 from weylracah import RacahContext, WeylOp, check_racah_structure
 
 
@@ -161,6 +161,17 @@ def test_c_pair_matches_four_branch_reference():
             lead, op = reference_pair(rc, lo, hi)
             assert rc.c_pair(hi, lo) == op, (n, lo, hi)
             assert rc.c_pair_lead(lo, hi) == lead, (n, lo, hi)
+
+
+def test_c_pair_matches_kernel_assembly():
+    # the grouping with one kernel product, A B, against the term-by-term
+    # assembly with every product through the Leibniz kernel
+    for n in range(3, 9):
+        rc, ref = RacahContext(n), RacahContext(n)
+        for lo, hi in combinations(range(1, n + 1), 2):
+            lead, op = kernel_c_pair(ref, lo, hi)
+            assert rc.c_pair(lo, hi) == op, (n, lo, hi)
+            assert rc.c_pair_lead(hi, lo) == lead, (n, lo, hi)
 
 
 def test_nu_casimir_from_ring_symbols():

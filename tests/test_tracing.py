@@ -115,7 +115,9 @@ def test_small_checks_unit_work_counts(monkeypatch):
     # embedding trees share is formed once. Before that memo (generator and
     # Euler leaves only, per call) the unit formed 1353 WeylOp products and
     # 2527 WeylOp additions. Each passing check of an operator prints it
-    # once, 1773 print_canonical calls; printing both sides took 3546
+    # once, 1773 print_canonical calls; printing both sides took 3546. Each
+    # of the 21 pair Casimirs takes one product fewer, f (2 nu_hi P + 2 nu_lo
+    # Q) in place of f P and f Q: 874 WeylOp products, 895 before
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -154,7 +156,7 @@ def test_small_checks_unit_work_counts(monkeypatch):
     small = workloads.SmallChecks()
     ops = small.unit(weylracah, {"check_probes": {}}, 0)
     assert len(ops) == small.expected == 1794 and all(op.ok for op in ops)
-    assert counts == Counter(mul=895, add=1323, print=1773)
+    assert counts == Counter(mul=874, add=1323, print=1773)
     assert len(contexts[-1].dm._values) == 672
 
 
@@ -234,3 +236,37 @@ def test_perturbed_racah_work_counts(monkeypatch):
     assert len(report.checks) == 301
     assert sum(not c.equal for c in report.checks) == 67
     assert counts == Counter(commutator=48, add=255)
+
+
+def test_pair_and_query_kernel_calls(monkeypatch, capsys):
+    # a multiplication operator composes coefficient-wise, and a pair
+    # Casimir takes one Leibniz product, A B: the 10 pair Casimirs at n = 5
+    # make 10 _leibniz calls, and the 126 requests of queries.json through
+    # run_cli make 215. With every product through the kernel they made 63
+    # and 1709
+    import json
+
+    from weylracah.cli import run_cli
+    from weylracah.racah import RacahContext
+    from weylracah.weyl import WeylOp
+
+    calls = [0]
+    leibniz = WeylOp._leibniz
+
+    def counted(self, other, start):
+        calls[0] += 1
+        return leibniz(self, other, start)
+
+    monkeypatch.setattr(WeylOp, "_leibniz", counted)
+    ctx = RacahContext(5)
+    for lo in range(1, 6):
+        for hi in range(lo + 1, 6):
+            ctx.c_pair(lo, hi)
+    assert calls == [10]
+    calls[0] = 0
+    requests = json.loads((ROOT / "perfbench" / "queries.json").read_text(encoding="utf-8"))
+    assert len(requests) == 126
+    for request in requests:
+        assert run_cli(request["argv"]) == 0
+    capsys.readouterr()
+    assert calls == [215]

@@ -242,6 +242,38 @@ def test_leibniz_overflow_checks_only_the_pairs_it_forms(ring, monkeypatch):
     assert str(raised.value) == str(expected.value)
 
 
+def test_multiplication_operator_overflow_matches_kernel(ring, monkeypatch):
+    # the coefficient-wise product checks the pairs the kernel checks, in the
+    # kernel's order, and raises at the same pair with the same text: the
+    # lead u2^2 meets u1^(MAX - 1) at degree MAX + 1 before u1^MAX at MAX + 2
+    u1, u2 = ring.u(1), ring.u(2)
+    p = u1 + u2**2
+    left = WeylOp.from_poly(p)
+    other = WeylOp(ring, {(0, 0): u2, (1, 0): u1 ** (MAX_DEGREE - 1), (0, 1): u1**MAX_DEGREE})
+    checks = []
+    check_product = Ring.check_product
+
+    def counted(self, m1, m2):
+        checks.append((m1, m2))
+        return check_product(self, m1, m2)
+
+    monkeypatch.setattr(Ring, "check_product", counted)
+    message = f"degree {MAX_DEGREE + 1} exceeds"
+    with pytest.raises(MonomialOverflowError, match=message) as expected:
+        left._leibniz(other, 0)
+    kernel_checks = checks[:]
+    checks.clear()
+    for product in (lambda: left * other, lambda: p * other):
+        with pytest.raises(MonomialOverflowError) as raised:
+            product()
+        assert str(raised.value) == str(expected.value)
+        assert checks == kernel_checks and len(checks) == 2
+        checks.clear()
+    # a pair that lands on the limit passes, as in the kernel
+    at_limit = WeylOp(ring, {(1, 0): u1 ** (MAX_DEGREE - 1)})
+    assert u2 * at_limit == WeylOp.from_poly(u2)._leibniz(at_limit, 0)
+
+
 def test_cached_derivative_still_checks_overflow(ring):
     # a harmless product fills b's table with d2 (u1 u2) = u1; a left operand
     # of top degree that meets the cached u1 raises the text of its product
