@@ -12,7 +12,7 @@ import os
 import re
 import sys
 
-from .dsl import ParseError, _Elaboration, elaborate, parse
+from .dsl import ParseError, commutator, elaborate, parse
 from .embed import verify_embedding
 from .poly import Rat
 from .printing import print_canonical
@@ -116,11 +116,7 @@ def run_cli(argv=None) -> int:
             return 0
 
         if args.command == "commute":
-            # both sides and the commutator draw from one work budget
-            request = _Elaboration(ctx)
-            lhs = request.value(parse(args.lhs, ctx))
-            rhs = request.value(parse(args.rhs, ctx))
-            print(print_canonical(request.commutator(lhs, rhs)))
+            print(print_canonical(commutator(parse(args.lhs, ctx), parse(args.rhs, ctx), ctx)))
             return 0
 
         if args.command == "matrix":

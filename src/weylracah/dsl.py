@@ -24,18 +24,19 @@ from typing import Callable, NamedTuple
 from .embed import l_op, l_op_pair
 from .poly import Rat
 from .racah import RacahContext
-from .weyl import WeylOp
+from .weyl import CHARGE, WeylOp
 
-__all__ = ["ParseError", "parse", "elaborate"]
+__all__ = ["ParseError", "parse", "elaborate", "commutator"]
 
 # Largest exponent after '^'; each power of an operator grows its Leibniz expansion.
 MAX_EXPONENT = 64
 # Deepest nesting of '(' and unary '-'; the parser and `elaborate` recurse per level.
 MAX_DEPTH = 64
-# Most coefficient term pairs (WeylOp.product_work) that the products of one
-# `elaborate` call form together, or of one `commute` request with its
-# commutator. The Leibniz kernel runs at about 0.3-0.5 us a pair with integer
-# coefficients and about 2 us with Fraction ones, on a 2-vCPU VM under CPython 3.11.
+# Most work that the products of one `elaborate` call, or of one `commute`
+# request with its commutator, may do together, in the units that the products
+# charge through `weyl.CHARGE` (one per coefficient term pair). A unit takes
+# about 0.2-0.9 us with integer coefficients and about 3 us with Fraction ones,
+# on a 2-vCPU VM under CPython 3.11.
 MAX_PRODUCT_WORK = 2_000_000
 
 
@@ -276,57 +277,54 @@ def parse(text: str, ctx: RacahContext):
 
 
 def elaborate(ast, ctx: RacahContext) -> WeylOp:
-    """Evaluate an AST to a normal-form operator via the module constructors.
+    """Evaluate an AST to a normal-form operator via the module constructors,
+    with one budget of MAX_PRODUCT_WORK for every product formed meanwhile, in
+    an atom's constructor or for a factor of a power too."""
+    with _Budget("an expression"):
+        return _value(ast, ctx)
 
-    Every product, each factor of a power included, draws its work from one
-    budget of MAX_PRODUCT_WORK term pairs for the whole expression.
-    """
-    return _Elaboration(ctx).value(ast)
+
+def commutator(lhs, rhs, ctx: RacahContext) -> WeylOp:
+    """The commutator of two ASTs' operators, with one budget for both and for it."""
+    with _Budget("a commute request"):
+        return _value(lhs, ctx).commutator(_value(rhs, ctx))
 
 
-class _Elaboration:
-    """One `elaborate` call, or one `commute` request: its context and the
-    term pairs its products formed.
+class _Budget:
+    """The work one request has spent, charged through `weyl.CHARGE` while
+    the request's operators are formed; past MAX_PRODUCT_WORK it refuses the
+    request, so a refusal comes after at most one budget of work."""
 
-    A class rather than a recursive closure, which would form a reference
-    cycle that keeps the context and its operator caches alive after the call.
-    """
+    def __init__(self, what: str):
+        self.what, self.spent = what, 0
 
-    def __init__(self, ctx: RacahContext):
-        self.ctx = ctx
-        self.spent = 0
-
-    def charge(self, what: str, work: int) -> None:
-        """Spend `work` term pairs; past MAX_PRODUCT_WORK, refuse `what`."""
+    def charge(self, work: int) -> None:
         self.spent += work
         if self.spent > MAX_PRODUCT_WORK:
             raise ParseError(
-                f"{what} of {self.spent} coefficient term pairs exceeds the limit "
-                f"{MAX_PRODUCT_WORK}",
+                f"{self.what} of {self.spent} units of work exceeds the limit {MAX_PRODUCT_WORK}",
                 None,
             )
 
-    def product(self, a: WeylOp, b: WeylOp) -> WeylOp:
-        self.charge("an expression", a.product_work(b))
-        return a * b
+    def __enter__(self):
+        self.token = CHARGE.set(self.charge)
 
-    def commutator(self, a: WeylOp, b: WeylOp) -> WeylOp:
-        self.charge("a commute request", a.product_work(b, 1) + b.product_work(a, 1))
-        return a.commutator(b)
+    def __exit__(self, *exc):
+        CHARGE.reset(self.token)
 
-    def value(self, node) -> WeylOp:
-        ctx = self.ctx
-        if isinstance(node, Num):
-            return WeylOp.scalar(ctx.ring, node.value)
-        if isinstance(node, Ref):
-            return ATOMS[node.name].build(ctx, *node.args)
-        if isinstance(node, Neg):
-            return -self.value(node.arg)
-        if isinstance(node, Pow):
-            base = self.value(node.base)
-            return reduce(self.product, [base] * node.exponent, WeylOp.identity(ctx.ring))
-        if isinstance(node, Sum):
-            return reduce(operator.add, [self.value(part) for part in node.parts])
-        if isinstance(node, Prod):
-            return reduce(self.product, [self.value(part) for part in node.parts])
-        raise TypeError(f"not an AST node: {node!r}")
+
+def _value(node, ctx: RacahContext) -> WeylOp:
+    if isinstance(node, Num):
+        return WeylOp.scalar(ctx.ring, node.value)
+    if isinstance(node, Ref):
+        return ATOMS[node.name].build(ctx, *node.args)
+    if isinstance(node, Neg):
+        return -_value(node.arg, ctx)
+    if isinstance(node, Pow):
+        base = _value(node.base, ctx)
+        return reduce(operator.mul, [base] * node.exponent, WeylOp.identity(ctx.ring))
+    if isinstance(node, Sum):
+        return reduce(operator.add, [_value(part, ctx) for part in node.parts])
+    if isinstance(node, Prod):
+        return reduce(operator.mul, [_value(part, ctx) for part in node.parts])
+    raise TypeError(f"not an AST node: {node!r}")

@@ -10,16 +10,22 @@ left operand without derivatives, so operator equality is plain map equality.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from contextvars import ContextVar
 from functools import lru_cache
 from itertools import product
 from operator import add, sub
 from typing import Mapping
 
-from .poly import (MAX_DEGREE, SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum,
-                   _add_products)
+from .poly import SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum, _add_products
 
 __all__ = ["WeylOp"]
+
+# The charge callable of the request whose operators are being formed, or None: products
+# call it with the work of each step, in term pairs, before the step; it refuses by raising.
+CHARGE: ContextVar = ContextVar("CHARGE", default=None)
+# Term pairs that one (gamma, beta) visit of the Leibniz kernel costs about as much as:
+# its expansion, derivative table lookup, degree check and exponent sum.
+GAMMA_WORK = 8
 
 
 @lru_cache(maxsize=4096)
@@ -132,9 +138,11 @@ class WeylOp(SparseSum):
         if len(self.terms) != 1 or any(next(iter(self.terms))):
             return self._leibniz(other, 0)
         (p,) = self.terms.values()
-        lead, out = max(p.terms), {}
+        lead, out, charge = max(p.terms), {}, CHARGE.get()
         for beta, q in other.terms.items():
             self.ring.check_product(lead, max(q.terms))
+            if charge is not None:
+                charge(len(p.terms) * len(q.terms))
             _add_products(out.setdefault(beta, {}), p.terms, q.terms, 1)
         return _normal(self.ring, out)
 
@@ -145,20 +153,6 @@ class WeylOp(SparseSum):
         min(alpha_i, top_i) is the same for every alpha of left."""
         monomials = [m for q in self.terms.values() for m in q.terms]
         return self.ring.capped_degrees(monomials, map(max, zip(*left.terms)))
-
-    def product_work(self, other: "WeylOp", start: int = 0) -> int:
-        """Coefficient term pairs that the Leibniz kernel `_leibniz` forms
-        composing self after other, leaving out gamma = 0 when start is 1, as
-        each order of a commutator does. A term of self at d^alpha meets a
-        term of other with u-exponents e once per gamma <= min(alpha, e), as
-        d^gamma keeps just the terms with e >= gamma: counted from exponents
-        (masked to the variables both operands reach), with no product."""
-        top, shifts = other._u_degrees(self), self.ring.shifts
-        mask = sum(MAX_DEGREE << shift for shift, t in zip(shifts, top) if t)
-        exps = Counter(m & mask for q in other.terms.values() for m in q.terms).items()
-        return sum(len(p.terms) * count * (math.prod(min(a, e >> s & MAX_DEGREE) + 1
-                                                     for a, s in zip(alpha, shifts)) - start)
-                   for alpha, p in self.terms.items() for e, count in exps)
 
     def _leibniz(self, other: "WeylOp", start: int) -> "WeylOp":
         """self after other, or with start=1 their commutator: the Leibniz
@@ -174,8 +168,10 @@ class WeylOp(SparseSum):
         once, at the end. Each (p, d^gamma q) pair formed is degree-checked as
         the product p * d^gamma q would be; a vanishing d^gamma q forms none.
         Each d^gamma q is taken once per right operand, in its `_derivs` table.
+        Under a CHARGE, each step is charged before it is taken: the (gamma,
+        beta) visits of each alpha, the terms of each d^gamma q formed, each pair.
         """
-        ring = self.ring
+        ring, charge = self.ring, CHARGE.get()
         out: dict[tuple, dict] = {}
         for left, right, sign in ((self, other, 1), (other, self, -1))[: start + 1]:
             derivs = right._derivs
@@ -183,6 +179,9 @@ class WeylOp(SparseSum):
                 derivs = right._derivs = {}
             top = right._u_degrees(left)
             for alpha, p in left.terms.items():
+                if charge is not None:
+                    gammas = math.prod(min(a, t) + 1 for a, t in zip(alpha, top)) - start
+                    charge(GAMMA_WORK * gammas * len(right.terms))
                 expansions = [
                     (gamma, sign * weight, tuple(map(sub, alpha, gamma)))
                     for gamma, weight in _lower_exponents(alpha, top)[start:]
@@ -194,11 +193,15 @@ class WeylOp(SparseSum):
                     for gamma, weight, rest in expansions:
                         dq = derivs.get((beta, gamma))
                         if dq is None:
+                            if charge is not None:
+                                charge(len(q.terms))
                             terms = (q.diff_multi(gamma) if any(gamma) else q).terms
                             dq = derivs[beta, gamma] = (terms, max(terms, default=-1))
                         if dq[1] < 0:
                             continue
                         ring.check_product(lead, dq[1])
+                        if charge is not None:
+                            charge(len(p.terms) * len(dq[0]))
                         exp = tuple(map(add, rest, beta))
                         acc = out.get(exp)
                         if acc is None:

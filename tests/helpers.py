@@ -5,8 +5,19 @@ import math
 import random
 from itertools import product
 
-from weylracah import Poly, RacahContext, Rat, Ring, SlElement, WeylOp
+from weylracah import Poly, RacahContext, Rat, Ring, SlElement, WeylOp, weyl
 from weylracah.poly import MAX_DEGREE
+
+
+def charged(compute) -> list:
+    """The work that products charge, in order, while compute() runs."""
+    charges = []
+    token = weyl.CHARGE.set(charges.append)
+    try:
+        compute()
+    finally:
+        weyl.CHARGE.reset(token)
+    return charges
 
 
 def random_rational(rng: random.Random, span: int = 6) -> Rat:

@@ -1,25 +1,34 @@
 """Expression grammar, elaboration, and the canonical printer."""
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_weyl
-from weylracah import dsl
+from helpers import charged, random_weyl
+from weylracah import dsl, weyl
 from weylracah import (
     ParseError,
     RacahContext,
     Rat,
     WeylOp,
+    check_generator_membership,
+    check_lemma1,
+    check_racah_structure,
+    check_sl_homomorphism,
     elaborate,
     parse,
     print_canonical,
     run_cli,
+    verify_embedding,
 )
 
 
@@ -250,34 +259,42 @@ def test_nesting_limit(rc, capsys):
     assert "limit 64" in capsys.readouterr().err
 
 
-def test_product_work_counts_leibniz_terms():
+def test_kernel_charges_each_step():
+    # GAMMA_WORK for each (gamma, beta) visited, the terms of each d^gamma q
+    # formed and each batch of term pairs, each before the step is taken
     rc5 = RacahContext(5)
-    ring = rc5.ring
-    a = run("d1^2 d2 + u2", rc5)  # alpha (2,1,0) and (0,0,0)
-    b = run("u1^3 u2 + u3 + k", rc5)  # 3 terms, u-degrees (3,1,1)
-    # d^gamma keeps the 3 terms of b at gamma = 0 and only u1^3 u2 at the
-    # other 5 gamma <= (2,1,0)
-    assert b.product_work(a) == 3 * 2
-    assert a.product_work(b) == (3 + 5) + 3
-    # start=1 leaves out gamma = 0, as the commutator's Leibniz loop does
-    assert b.product_work(a, 1) == 0
-    assert a.product_work(b, 1) == 5
-    p, q = WeylOp.from_poly(ring.u(1) + ring.k()), WeylOp.from_poly(ring.u(2) - 1)
-    assert p.product_work(q) == 2 * 2
+    w = weyl.GAMMA_WORK
+
+    def a():
+        return run("d1^2 d2 + u2", rc5)  # alpha (2,1,0) and (0,0,0)
+
+    def b():
+        return run("u1^3 u2 + u3 + k", rc5)  # 3 terms in one coefficient
+
+    # d^(2,1,0) visits 6 gamma and d^0 one; d^gamma q keeps the 3 terms of b
+    # at gamma = 0 and only u1^3 u2 at the other 5
+    assert charged(lambda: a() * b()) == [6 * w, 3, 3] + [3, 1] * 5 + [w, 3]
+    # a multiplication operator composes coefficient-wise, 3 pairs per beta
+    assert charged(lambda: b() * a()) == [3, 3]
+    # the commutator visits no gamma = 0, in either order
+    assert charged(lambda: a().commutator(b())) == [5 * w] + [3, 1] * 5 + [0, 0]
+    # each d^gamma q is formed once per right operand
+    left, right = a(), b()
+    left * right
+    assert charged(lambda: left * right) == [6 * w, 3] + [1] * 5 + [w, 3]
 
 
-def test_product_work_limit(monkeypatch, capsys):
-    # the limit is lowered, so no over-limit product is ever attempted
+def test_work_limit(monkeypatch, capsys):
     rc5 = RacahContext(5)
     base = "(u1+u2+u3+d1+d2+d3)"
-    # the factors of base^4, from the identity, cost 6, 39, 150 and 438 term
-    # pairs, 633 together; the fifth costs 1074
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 633)
+    # the factors of base^4, from the identity, cost 6, 287, 968 and 2460
+    # units, 3721 together; the fifth, which costs 5202, is refused part way
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 3721)
     assert run(base + "^4", rc5) == run(base, rc5) ** 4
     with pytest.raises(ParseError) as info:
         run(base + "^5", rc5)
     assert info.value.position is None
-    assert str(info.value) == "an expression of 1707 coefficient term pairs exceeds the limit 633"
+    assert str(info.value) == "an expression of 3753 units of work exceeds the limit 3721"
     # one budget for the whole expression: each power alone fits, not the sum
     for text in (
         base + "^3 " + base + "^2",
@@ -286,54 +303,45 @@ def test_product_work_limit(monkeypatch, capsys):
         base + "^4 + " + base + "^4",
         base + "^2 - " + base + "^4",
     ):
-        with pytest.raises(ParseError, match="exceeds the limit 633"):
+        with pytest.raises(ParseError, match="exceeds the limit 3721"):
             run(text, rc5)
+    # atoms are built inside the budget too: C[1,2] alone costs 312 units
     monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 100)
     assert run_cli(["commute", "--n", "5", "--lhs", "C[1,2]", "--rhs", base + "^3"]) == 2
     assert "exceeds the limit 100" in capsys.readouterr().err
-    assert run_cli(["normalize", "--n", "5", "--expr", "C[1,2] C[2,3]"]) == 2
+    assert run_cli(["normalize", "--n", "5", "--expr", "C[1,2]"]) == 2
     assert "exceeds the limit 100" in capsys.readouterr().err
 
 
 def test_commute_work_limit(monkeypatch, capsys):
-    # both products of the commutator count against the request's one
-    # budget, after the 6 + 39 pairs of the two factors of the right side's
-    # square; over it the commutator is never composed
+    # C[1,2] costs 312 units, the right side 293 and the commutator 3708, all
+    # from the request's one budget: the whole fits a limit of 4313, and one
+    # unit less refuses the commutator at its last step
     argv = ["commute", "--n", "5", "--lhs", "C[1,2]", "--rhs", "(u1+u2+u3+d1+d2+d3)^2"]
-    rc5 = RacahContext(5)
-    lhs, rhs = run("C[1,2]", rc5), run("(u1+u2+u3+d1+d2+d3)^2", rc5)
-    assert lhs.product_work(rhs, 1) + rhs.product_work(lhs, 1) == 333
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 45 + 333)
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 4313)
     assert run_cli(argv) == 0
     assert capsys.readouterr().out.strip()
-
-    def refuse(self, other):
-        raise AssertionError("over-limit commutator composed")
-
-    monkeypatch.setattr(WeylOp, "commutator", refuse)
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 45 + 332)
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 4312)
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: a commute request of 378 coefficient term pairs exceeds the limit 377\n"
-    )
+    assert captured.err == "error: a commute request of 4313 units of work exceeds the limit 4312\n"
 
 
 def test_commute_sides_share_the_budget(monkeypatch, capsys):
-    # the left side costs 3 + 9 term pairs, the right 2 + 4 + 3 + 9, and the
-    # commutator of two u-free operators none: either side fits the limit,
-    # the two together do not, refused at the third product of the right side
+    # the left side costs 87 units, the right 127, and the commutator of two
+    # u-free operators none: either side fits the limit, the two together do
+    # not, refused in a product of the right side
     argv = ["commute", "--n", "5", "--lhs", "(d1+d2+d3)^2", "--rhs", "(d1-d2)^2 + (d1+d2+d3)^2"]
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 20)
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 200)
     for side in argv[4], argv[6]:
         assert run_cli(["normalize", "--n", "5", "--expr", side]) == 0
     capsys.readouterr()
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: an expression of 21 coefficient term pairs exceeds the limit 20\n"
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 30)
+    assert captured.err == "error: a commute request of 211 units of work exceeds the limit 200\n"
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 214)
     assert run_cli(argv) == 0
     assert capsys.readouterr().out == "0\n"
 
@@ -345,6 +353,127 @@ def test_commute_work_skips_cancelling_terms(monkeypatch, capsys):
     argv = ["commute", "--n", "5", "--lhs", "d1+d2+d3", "--rhs", "d2 + C[3] - k"]
     assert run_cli(argv) == 0
     assert capsys.readouterr().out == "0\n"
+
+
+def test_refusal_leaves_the_context_sound(monkeypatch):
+    # a refusal part way through an atom's build or a product leaves the
+    # context's pair Casimirs, derivative tables and tree values as sound as
+    # a fresh context's: the three parts cost 540, 23 and 3189 units
+    parts = ["C[{1,2,3}]", "L1[4]", "C[1,2] C[2,3]"]
+    fresh = [print_canonical(run(text, RacahContext(5))) for text in parts]
+    for limit in (0, 100, 300, 545, 600, 1000, 2000, 3000, 3751):
+        shared = RacahContext(5)
+        with monkeypatch.context() as patch:
+            patch.setattr(dsl, "MAX_PRODUCT_WORK", limit)
+            with pytest.raises(ParseError, match=f"exceeds the limit {limit}$"):
+                run(" + ".join(parts), shared)
+        assert [print_canonical(run(text, shared)) for text in parts] == fresh
+
+
+def test_budget_is_scoped_to_requests(monkeypatch):
+    # only requests are charged: the suites and bare products run under any
+    # limit, and a refused request leaves no charge behind
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 0)
+    ctx = RacahContext(4)
+    dm = ctx.dm
+    for report in (
+        check_sl_homomorphism(dm),
+        check_generator_membership(dm),
+        check_lemma1(dm),
+        check_racah_structure(ctx),
+        verify_embedding(ctx),
+    ):
+        assert report.ok()
+    with pytest.raises(ParseError, match="exceeds the limit 0$"):
+        run("u1 d1", ctx)
+    assert weyl.CHARGE.get() is None
+    a, b = ctx.c_pair(1, 2), ctx.c_pair(2, 3) * ctx.c_set((1, 3))
+    assert a.commutator(b) == a * b - b * a
+
+
+def _box(var: str, indices) -> str:
+    """The product over i of (1 + x + ... + x^7), x = var_i."""
+    return " ".join(
+        "(" + " + ".join(["1"] + [f"{var}{i}^{e}" for e in range(1, 8)]) + ")" for i in indices
+    )
+
+
+def test_large_requests_end_within_one_budget(capsys):
+    # each is refused after at most one budget of work, about a second on a
+    # 2-vCPU VM; the bound leaves room for a slow or busy host
+    for argv in (
+        ["commute", "--n", "10", "--lhs", _box("d", range(1, 5)) + " + d5^7 d6^7 d7^7 d8^7",
+         "--rhs", _box("u", range(5, 9)) + " + u1^7 u2^7 u3^7 u4^7"],
+        ["commute", "--n", "12", "--lhs", _box("d", range(1, 6)),
+         "--rhs", "u1^7 + u2^7 + u3^7 + u4^7 + u5^7"],
+        ["normalize", "--n", "5", "--expr", "(u1+u2+u3+d1+d2+d3)^64"],
+    ):
+        start = time.perf_counter()
+        assert run_cli(argv) == 2
+        assert time.perf_counter() - start < 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"units of work exceeds the limit {dsl.MAX_PRODUCT_WORK}\n")
+    # the same pair with 3-variable boxes at n = 8 fits, with its known output
+    argv = ["commute", "--n", "8", "--lhs", _box("d", range(1, 4)) + " + d4^7 d5^7 d6^7",
+            "--rhs", _box("u", range(4, 7)) + " + u1^7 u2^7 u3^7"]
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "ee1b3b095e6c2b22b41ea93f2a70495f2359cd917122c840c88d19bd99301005"
+    )
+
+
+@st.composite
+def requests(draw):
+    """A normalize or commute request over the grammar at n <= 12: symbols,
+    generator and Casimir references, L blocks, boxes, sums, products and
+    powers up to the exponent limit."""
+    n = draw(st.integers(3, 12))
+    var, factor, letter = st.integers(1, n - 2), st.integers(1, n), st.sampled_from("ud")
+    subsets = st.lists(factor, min_size=1, max_size=n, unique=True)
+    atoms = st.one_of(
+        st.builds("{}{}".format, letter, var),
+        st.sampled_from(["k", "E", "1/2"]),
+        st.builds("nu{}".format, factor),
+        st.lists(factor, min_size=2, max_size=2, unique=True).map("C[{0[0]},{0[1]}]".format),
+        subsets.map(lambda a: "C[{" + ",".join(map(str, a)) + "}]"),
+        st.builds("{}[{}]".format, st.sampled_from(["L1", "L2", "L3", "L4"]), st.integers(3, n)),
+        st.builds(_box, letter, st.lists(var, min_size=1, max_size=n - 2, unique=True)),
+    )
+    if n > 3:
+        pairs = st.integers(3, n - 1).flatmap(
+            lambda j: st.builds("{},{}".format, st.integers(j + 1, n), st.just(j))
+        )
+        atoms |= st.builds("{}[{}]".format, st.sampled_from(["L5", "L6"]), pairs)
+    exprs = st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=2, max_size=3).map(" + ".join),
+            st.lists(inner, min_size=2, max_size=3).map(lambda ps: "(" + ") (".join(ps) + ")"),
+            st.builds("({})^{}".format, inner, st.integers(0, dsl.MAX_EXPONENT)),
+        ),
+        max_leaves=6,
+    )
+    if draw(st.booleans()):
+        return ["normalize", "--n", str(n), "--expr", draw(exprs)]
+    return ["commute", "--n", str(n), "--lhs", draw(exprs), "--rhs", draw(exprs)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(requests())
+def test_requests_answer_or_refuse(argv):
+    # a twentieth of the budget keeps the test short; the bound is generous
+    # against the at most 0.3 s that one refused request takes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsl, "MAX_PRODUCT_WORK", dsl.MAX_PRODUCT_WORK // 20)
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+        assert time.perf_counter() - start < 10
+    assert code in (0, 2), err.getvalue()
+    assert (code == 2) == bool(err.getvalue()) == (not out.getvalue())
 
 
 def test_recorded_requests_stay_under_the_work_limit(monkeypatch, capsys):
@@ -362,22 +491,20 @@ def test_recorded_requests_stay_under_the_work_limit(monkeypatch, capsys):
     lines = re.findall(r"^weylracah (?:normalize|commute|matrix) .*$", text, re.MULTILINE)
     fixed = {"N": "4", "K": "2"}
     assert [[fixed.get(w, w) for w in shlex.split(line)[1:]] for line in lines] == readme
-    spent = []
-    product_work = WeylOp.product_work
+    budgets = []
 
-    def recording(self, other, start=0):
-        work = product_work(self, other, start)
-        spent[-1] += work
-        return work
+    class Recorded(dsl._Budget):
+        def __init__(self, what):
+            super().__init__(what)
+            budgets.append(self)
 
-    # the total over every product and commutator bound of one request
-    monkeypatch.setattr(WeylOp, "product_work", recording)
+    # every request opens one budget, whose total spend is read after it
+    monkeypatch.setattr(dsl, "_Budget", Recorded)
     for request in requests:
-        spent.append(0)
         assert run_cli(request["argv"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == request["sha256"]
     for argv in readme:
-        spent.append(0)
         assert run_cli(argv) == 0
-    assert 0 < max(spent) <= dsl.MAX_PRODUCT_WORK // 1000
+    assert len(budgets) == len(requests) + len(readme)
+    assert 0 < max(budget.spent for budget in budgets) <= dsl.MAX_PRODUCT_WORK // 1000
