@@ -45,9 +45,9 @@ class RacahContext:
         self._pairs: dict = {}
         # the embedded pair Casimir of each sorted pair, filled by embed.embedded_c_pair
         self.embedded_pairs: dict = {}
-        # [C_p, C_q] keyed by sorted pairs p < q, and each triple's cyclic verdict
+        # [C_p, C_q] keyed by sorted pairs p < q, and the map `uncertified` builds
         self._brackets: dict = {}
-        self._cyclic: dict = {}
+        self._uncertified: dict | None = None
 
     def __repr__(self):
         return f"RacahContext(n={self.n})"
@@ -139,23 +139,39 @@ class RacahContext:
             self._brackets[p, q] = self.c_set(p).commutator(self.c_set(q))
         return self._brackets[p, q]
 
-    def is_cyclic(self, t: tuple) -> bool:
-        """Whether [C_ij,C_jk] = [C_jk,C_ik] = [C_ik,C_ij] for the sorted
-        triple t = (i, j, k), certified once; the table keeps only the first."""
-        if t not in self._cyclic:
-            ij, jk, ik = t[:2], t[1:], t[::2]
-            cs = self.c_set
-            g = self.pair_commutator(ij, jk)
-            self._cyclic[t] = g == cs(jk).commutator(cs(ik)) == cs(ik).commutator(cs(ij))
-        return self._cyclic[t]
+    def uncertified(self) -> dict:
+        """Each table entry that does not certify, built once in its own
+        guarded build: a triple t = (i, j, k) whose [C_ij,C_jk] = [C_jk,C_ik] =
+        [C_ik,C_ij] fails, or a nonzero disjoint entry, maps to None; an entry
+        whose build raised maps to its exception. The table keeps [C_ij,C_jk]."""
+        if self._uncertified is None:
+            bad, cs, factors = {}, self.c_set, range(1, self.n + 1)
+            pairs = combinations(combinations(factors, 2), 2)
+            disjoint = [(p, q) for p, q in pairs if not {*p} & {*q}]
+            for key in [*combinations(factors, 3), *disjoint]:
+                try:
+                    if len(key) == 3:
+                        ij, jk, ik = key[:2], key[1:], key[::2]
+                        g = self.pair_commutator(ij, jk)
+                        ok = g == cs(jk).commutator(cs(ik)) == cs(ik).commutator(cs(ij))
+                    else:
+                        ok = not self.pair_commutator(*key)
+                    if not ok:
+                        bad[key] = None
+                except Exception as exc:
+                    bad[key] = exc
+            self._uncertified = bad
+        return self._uncertified
 
     def set_commutator(self, A: Iterable[int], B: Iterable[int]) -> WeylOp:
         """[C_A, C_B], the sum of [C_p, C_q] over pairs p of A and q of B, as
-        singleton Casimirs are central. For disjoint or nested A and B every
-        entry read (`table_reads`) is built; if every triple read is cyclic
-        and every disjoint entry read is zero, it returns zero. Otherwise it
-        returns the pair sum read from the table, without zero entries and
-        the terms below that cancel.
+        singleton Casimirs are central. A term with p != q reads one group:
+        the triple p | q, or the disjoint entry (min(p, q), max(p, q)) when p
+        and q share no factor. For disjoint or nested A and B it is zero when
+        the whole table certifies (`uncertified`); otherwise a term whose
+        group raised re-raises its error, and the rest is the pair sum over
+        the uncertified groups, without zero entries and the terms below that
+        cancel. Other subsets take the pair sum of every term.
 
         Terms with p and q both in A & B cancel in pairs, as [C_q, C_p] =
         -[C_p, C_q]. On disjoint or nested A and B, so do the other terms of
@@ -167,53 +183,36 @@ class RacahContext:
         triple is cyclic, only the disjoint entries are left.
         """
         a, b = self.subset_key(A), self.subset_key(B)
-        reads = table_reads(a, b)
-        if reads is not None:
-            cyclic = [self.is_cyclic(t) for t in reads[0]]
-            entries = [self.pair_commutator(*key) for key in reads[1]]
-            if all(cyclic) and not any(entries):
-                return WeylOp.zero(self.ring)
         both = set(a) & set(b)
+        bad = self.uncertified() if both in (set(), set(a), set(b)) else None
+        if bad == {}:
+            return WeylOp.zero(self.ring)
         terms = []
         for p in combinations(a, 2):
             for q in combinations(b, 2):
                 t = tuple(sorted({*p, *q}))
-                if {*t} <= both or len(t) == 3 and reads is not None and self.is_cyclic(t):
+                key = (p, q) if p < q else (q, p)
+                if bad is not None:
+                    group = t if len(t) == 3 else key
+                    if isinstance(bad.get(group), Exception):
+                        raise bad[group].with_traceback(None)
+                    if group not in bad:
+                        continue
+                if {*t} <= both:
                     continue
-                entry = self.pair_commutator(min(p, q), max(p, q))
+                entry = self.pair_commutator(*key)
                 if entry:
                     terms.append(entry if p < q else -entry)
         return sum(terms, WeylOp.zero(self.ring))
 
 
-def table_reads(a: tuple, b: tuple) -> tuple[set, set] | None:
-    """The triples and the disjoint entries that [C_a, C_b] reads, for sorted
-    disjoint or nested subsets a and b; None if they overlap otherwise. For
-    pairs p of a and q != p of b, p | q is a triple when p and q share a
-    factor, and (min(p, q), max(p, q)) a disjoint entry when they do not.
-    A singleton has no pairs, so it reads nothing."""
-    if len(a) < 2 or len(b) < 2:
-        return set(), set()
-    sa, sb = set(a), set(b)
-    if sa <= sb or sb <= sa:
-        inner, outer = (a, sb) if sa <= sb else (b, sa)
-        triples = {tuple(sorted((*p, x))) for p in combinations(inner, 2) for x in outer - {*p}}
-    elif sa & sb:
-        return None
-    else:
-        triples = set()
-    disjoint = {
-        (p, q) if p < q else (q, p)
-        for p in combinations(a, 2)
-        for q in combinations([x for x in b if x not in p], 2)
-    }
-    return triples, disjoint
-
-
 def check_racah_structure(ctx: RacahContext) -> Report:
-    """Subset Casimirs commute whenever the subsets are disjoint or nested;
-    a table entry that fails to build fails the checks that read it."""
+    """Subset Casimirs commute whenever the subsets are disjoint or nested.
+    The pair table is certified once, before the first check, so no check's
+    time holds a table build; an entry that failed to build fails the checks
+    whose pair sums have a term in its group."""
     report = Report("racah", {"n": ctx.n, "k_mode": "symbolic"})
+    ctx.uncertified()
     subsets = nonempty_subsets(ctx.n)
     zero = WeylOp.zero(ctx.ring)
     for pos, A in enumerate(subsets):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement
 from typing import Mapping
 
 from .poly import MAX_DEGREE, Poly, Rat, Ring, _as_rat
@@ -58,9 +58,9 @@ def basis(ring: Ring, degree: int) -> PiBasis:
         )
     tail = (0,) * (1 + ring.num_nu)
     monos = [
-        exps + tail
-        for exps in product(range(degree + 1), repeat=m)
-        if sum(exps) <= degree
+        tuple(map(combo.count, range(m))) + tail  # a multiset of d variables, as exponents
+        for d in range(degree + 1)
+        for combo in combinations_with_replacement(range(m), d)
     ]
     monos.sort(key=lambda t: (sum(t), tuple(-e for e in t)))
     return PiBasis(ring, degree, tuple(monos), {ring.pack(mono): i for i, mono in enumerate(monos)})

@@ -10,6 +10,7 @@ Each test here compares one of these against the plain definition.
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -31,7 +32,7 @@ from weylracah import (
     print_canonical,
     to_matrix,
 )
-from weylracah.racah import table_reads
+from weylracah.report import timed_check
 from weylracah.sln import GenEuler, GenT, ProdNode, ScalarNode, SumNode, euler_tree, nonempty_subsets
 
 
@@ -150,7 +151,8 @@ def test_perturbed_pair_fails_the_same_checks_on_both_paths():
             rows[direct] = racah_rows(ctx, direct)
         assert rows[False] == rows[True], n
         assert any(not equal for _, _, _, equal in rows[False])
-        assert False in contexts[False]._cyclic.values()
+    uncertified = [(1, 2, 3), (1, 3, 4), (1, 3, 5), ((1, 3), (2, 4)), ((1, 3), (2, 5))]
+    assert contexts[False].uncertified() == dict.fromkeys(uncertified)
 
 
 def racah_pairs(n: int):
@@ -184,6 +186,142 @@ def test_failing_disjoint_entry_fails_exactly_its_readers():
     for c in checks:
         if not c.equal:
             assert c.lhs == repr(weights[c.id] * ctx._brackets[p, q])
+
+
+def table_reads(a: tuple, b: tuple) -> tuple[set, set] | None:
+    """The triples and the disjoint entries that [C_a, C_b] reads, for sorted
+    disjoint or nested subsets a and b; None if they overlap otherwise. For
+    pairs p of a and q != p of b, p | q is a triple when p and q share a
+    factor, and (min(p, q), max(p, q)) a disjoint entry when they do not.
+    A singleton has no pairs, so it reads nothing."""
+    if len(a) < 2 or len(b) < 2:
+        return set(), set()
+    sa, sb = set(a), set(b)
+    if sa <= sb or sb <= sa:
+        inner, outer = (a, sb) if sa <= sb else (b, sa)
+        triples = {tuple(sorted((*p, x))) for p in combinations(inner, 2) for x in outer - {*p}}
+    elif sa & sb:
+        return None
+    else:
+        triples = set()
+    disjoint = {
+        (p, q) if p < q else (q, p)
+        for p in combinations(a, 2)
+        for q in combinations([x for x in b if x not in p], 2)
+    }
+    return triples, disjoint
+
+
+def reference_rule(ctx: RacahContext):
+    """[C_A, C_B] on ctx by the rule that reads each check's own entries. For
+    disjoint or nested A and B it builds every entry in `table_reads`, and
+    is zero when every triple read is cyclic and every disjoint entry read
+    is zero. Otherwise it is the pair sum, without the terms inside A & B,
+    those of cyclic triples and zero entries. Each triple's cyclic verdict
+    is built once; one that raised is built again when read."""
+    cyclic = {}
+
+    def is_cyclic(t: tuple) -> bool:
+        if t not in cyclic:
+            ij, jk, ik = t[:2], t[1:], t[::2]
+            cs = ctx.c_set
+            g = ctx.pair_commutator(ij, jk)
+            cyclic[t] = g == cs(jk).commutator(cs(ik)) == cs(ik).commutator(cs(ij))
+        return cyclic[t]
+
+    def set_commutator(A, B) -> WeylOp:
+        a, b = ctx.subset_key(A), ctx.subset_key(B)
+        reads = table_reads(a, b)
+        if reads is not None:
+            verdicts = [is_cyclic(t) for t in reads[0]]
+            entries = [ctx.pair_commutator(*key) for key in reads[1]]
+            if all(verdicts) and not any(entries):
+                return WeylOp.zero(ctx.ring)
+        both = set(a) & set(b)
+        terms = []
+        for p in combinations(a, 2):
+            for q in combinations(b, 2):
+                t = tuple(sorted({*p, *q}))
+                if {*t} <= both or len(t) == 3 and reads is not None and is_cyclic(t):
+                    continue
+                entry = ctx.pair_commutator(min(p, q), max(p, q))
+                if entry:
+                    terms.append(entry if p < q else -entry)
+        return sum(terms, WeylOp.zero(ctx.ring))
+
+    return set_commutator
+
+
+def reference_rows(ctx: RacahContext) -> list[tuple]:
+    """The racah report of ctx as (id, lhs, rhs, equal) rows, each check's
+    [C_A, C_B] taken by `reference_rule`."""
+    rule, zero = reference_rule(ctx), WeylOp.zero(ctx.ring)
+    checks = (timed_check(i, "", lambda: (rule(A, B), zero)) for i, A, B in racah_pairs(ctx.n))
+    return [(c.id, c.lhs, c.rhs, c.equal) for c in checks]
+
+
+def failing_casimir(monkeypatch, key: tuple) -> None:
+    """Make c_set raise for the factor subset key."""
+    c_set = RacahContext.c_set
+
+    def broken(self, A):
+        if self.subset_key(A) == key:
+            raise RuntimeError(f"no Casimir for {key}")
+        return c_set(self, A)
+
+    monkeypatch.setattr(RacahContext, "c_set", broken)
+
+
+def planted_context(n: int, p: tuple, q: tuple) -> RacahContext:
+    """A racah context at n whose table entry [C_p, C_q] is d_1."""
+    ctx = RacahContext(n)
+    ctx._brackets[p, q] = WeylOp.partial(ctx.ring, 1)
+    return ctx
+
+
+PLANTED = [((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 2), (2, 3)), ((2, 3), (3, 4))]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_racah_suite_matches_reference_rule_under_planted_faults(monkeypatch, n):
+    # a perturbed pair Casimir, a pair Casimir that fails to build, and a
+    # planted table entry each leave entries uncertified; the suite's rows,
+    # failures and error texts included, are the reference rule's on a
+    # second context with the same fault
+    faults = [(perturbed_context, None)]
+    faults += [(RacahContext, key) for key in ((2, 4), (1, n), (n - 1, n))]
+    faults += [(partial(planted_context, p=p, q=q), None) for p, q in PLANTED]
+    for make, broken in faults:
+        with monkeypatch.context() as patch:
+            if broken:
+                failing_casimir(patch, broken)
+            rows = racah_rows(make(n), False)
+            assert rows == reference_rows(make(n)), broken
+        assert not all(equal for *_, equal in rows), broken
+
+
+def outcome(compute):
+    """compute()'s value, or the text of the RuntimeError it raised."""
+    try:
+        return compute()
+    except RuntimeError as exc:
+        return f"raised {exc}"
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_set_commutator_matches_reference_rule_with_a_failing_casimir(monkeypatch, n):
+    # every ordered subset pair, overlapping ones included: an overlapping
+    # pair takes its plain pair sum and raises only if a term of it raises
+    failing_casimir(monkeypatch, (2, 4))
+    ctx, rule = RacahContext(n), reference_rule(RacahContext(n))
+    subsets = nonempty_subsets(n)
+    raised = 0
+    for A in subsets:
+        for B in subsets:
+            got, want = outcome(lambda: ctx.set_commutator(A, B)), outcome(lambda: rule(A, B))
+            assert type(got) is type(want) and got == want, (A, B)
+            raised += isinstance(got, str)
+    assert 0 < raised < len(subsets) ** 2
 
 
 def pair_loop_weights(a: tuple, b: tuple) -> tuple[dict, dict]:

@@ -217,10 +217,10 @@ def test_structure_suite_small():
 
 
 def test_failing_casimir_build_fails_only_its_checks(monkeypatch):
-    # each check sums the pair-commutator entries [C_p, C_q] over the pairs
-    # p of A and q of B (p != q), so it fails exactly when one of them has
-    # the pair (2, 4); a triple's certification reads that pair's entries too,
-    # but only for checks that read one of them directly
+    # each check's pair sum has a term [C_p, C_q] for every pair p of A and
+    # q != p of B, in the group of its triple or disjoint entry. The table
+    # build stores the error of each group with the pair (2, 4), and a check
+    # fails exactly when one of its terms has that pair, inside A & B or not
     original = RacahContext.c_set
 
     def broken(self, A):

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +45,17 @@ def test_basis_counts():
     assert basis(Ring(3, 0), 3).size == 20
     for m, k in ((1, 5), (2, 3), (4, 2)):
         assert basis(Ring(m, 0), k).size == math.comb(k + m, m)
+
+
+def test_basis_matches_brute_force_enumeration():
+    # every exponent tuple with entries <= k, kept when its total is <= k,
+    # in the basis order: by total degree, then u1 heaviest
+    for m in range(1, 5):
+        for k in range(5):
+            ring = Ring(m, 2)
+            kept = [e for e in product(range(k + 1), repeat=m) if sum(e) <= k]
+            kept.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
+            assert basis(ring, k).monomials == tuple(e + (0,) * 3 for e in kept), (m, k)
 
 
 def test_basis_size_limit():

@@ -163,9 +163,9 @@ def test_small_checks_unit_work_counts(monkeypatch):
 def test_racah_unit_work_counts(monkeypatch):
     # one racah-n5 unit: 45 table commutators, each d^gamma q of a pair
     # Casimir formed once in that operator's derivative table, and no
-    # operator added by set_commutator itself, since every entry certifies;
-    # the sums that build a pair Casimir in the first check to read it are
-    # not set_commutator's
+    # operator added by set_commutator itself, since every entry certifies.
+    # The table is built once, before the checks: its 10 triples and 15
+    # disjoint entries read 25 entries, and the 301 checks read none
     from weylracah.poly import Poly
     from weylracah.racah import RacahContext, check_racah_structure
     from weylracah.weyl import WeylOp
@@ -203,9 +203,19 @@ def test_racah_unit_work_counts(monkeypatch):
     monkeypatch.setattr(WeylOp, "__add__", counted_add)
     for name in ("set_commutator", "c_pair"):
         monkeypatch.setattr(RacahContext, name, marked(name))
-    report = check_racah_structure(RacahContext(5))
+    pair_commutator = RacahContext.pair_commutator
+
+    def counted_pair_commutator(self, p, q):
+        counts["pair_commutator"] += 1
+        return pair_commutator(self, p, q)
+
+    monkeypatch.setattr(RacahContext, "pair_commutator", counted_pair_commutator)
+    ctx = RacahContext(5)
+    ctx.uncertified()
+    assert counts["pair_commutator"] == 25
+    report = check_racah_structure(ctx)
     assert len(report.checks) == 301 and all(c.equal for c in report.checks)
-    assert counts == Counter(commutator=45, diff_multi=554, set_commutator_adds=0)
+    assert counts == Counter(commutator=45, diff_multi=554, pair_commutator=25, set_commutator_adds=0)
 
 
 def test_perturbed_racah_work_counts(monkeypatch):
