@@ -12,10 +12,11 @@ order, and the product of two monomials is their sum. A total degree, and
 so every exponent, is at most MAX_DEGREE, which keeps the fields of a sum
 from carrying; a product that would pass it raises MonomialOverflowError.
 
-A coefficient enters as an `int` when it is integral and as a `Fraction`
-only otherwise. Mixed int/Fraction arithmetic is exact and an integral
-Fraction equals and hashes like its int, so the two kinds never need to be
-told apart; integer work simply stays on the fast int path.
+A coefficient, of an input or of a result, is stored as an `int` when it is
+integral and as a `Fraction` only otherwise. Mixed int/Fraction arithmetic
+is exact and an integral Fraction equals and hashes like its int, so the two
+kinds never need to be told apart; integer work simply stays on the fast
+int path.
 """
 
 from __future__ import annotations
@@ -51,6 +52,16 @@ def _as_rat(value) -> int | Rat:
         raise TypeError("floats are not exact; pass int, Fraction, or a 'p/q' string")
     c = Rat(value)
     return c.numerator if c.denominator == 1 else c
+
+
+def _reduced(terms: dict) -> dict:
+    """terms without its zero coefficients and with each integral Fraction
+    stored as its int; terms itself when it holds neither."""
+    values = terms.values()
+    if all(values) and Fraction not in map(type, values):
+        return terms
+    return {key: c if type(c) is not Fraction or c.denominator != 1 else c.numerator
+            for key, c in terms.items() if c}
 
 
 def _add_products(acc: dict, a: Mapping, b: Mapping, scale) -> None:
@@ -147,22 +158,6 @@ class Ring:
                 f"a product of degree {degree} exceeds the limit {MAX_DEGREE}"
             )
 
-    def capped_degrees(self, monomials: list, caps) -> tuple:
-        """For each u-variable, the largest exponent over the monomials, read
-        only up to that variable's entry of caps (0 reads nothing)."""
-        top = []
-        for shift, cap in zip(self.shifts, caps):
-            t = 0
-            if cap:
-                for m in monomials:
-                    e = m >> shift & MAX_DEGREE
-                    if e > t:
-                        t = min(e, cap)
-                        if t == cap:
-                            break
-            top.append(t)
-        return tuple(top)
-
     def zero(self) -> Poly:
         return Poly(self, {}, _trusted=True)
 
@@ -241,6 +236,8 @@ class SparseSum:
                 out[key] = c
             else:
                 acc = acc + c
+                if type(acc) is Fraction and acc.denominator == 1:
+                    acc = acc.numerator
                 if acc:
                     out[key] = acc
                 else:
@@ -254,7 +251,8 @@ class SparseSum:
         s = _as_rat(value)
         if not s:
             return type(self)(self.ring, {}, _trusted=True)
-        return type(self)(self.ring, {key: c * s for key, c in self.terms.items()}, _trusted=True)
+        return type(self)(self.ring, _reduced({key: c * s for key, c in self.terms.items()}),
+                          _trusted=True)
 
     # Poly and WeylOp replace this with their own products.
     __rmul__ = _scale
@@ -338,9 +336,7 @@ class Poly(SparseSum):
         self.ring.check_product(max(a, default=0), max(b, default=0))
         out = {}
         _add_products(out, a, b, 1)
-        if not all(out.values()):
-            out = {key: c for key, c in out.items() if c}
-        return Poly(self.ring, out, _trusted=True)
+        return Poly(self.ring, _reduced(out), _trusted=True)
 
     __rmul__ = __mul__
 
@@ -371,7 +367,7 @@ class Poly(SparseSum):
                 weight *= math.perm(e, o)
             else:
                 out[m - drop] = c * weight
-        return Poly(ring, out, _trusted=True)
+        return Poly(ring, _reduced(out), _trusted=True)
 
     def subs(self, assignment: Mapping[str, object]) -> "Poly":
         """Substitute rational values for symbols named in the assignment.
@@ -394,8 +390,7 @@ class Poly(SparseSum):
                     key -= (e << shift) + (e << degree_shift)
             acc = out.get(key)
             out[key] = c if acc is None else acc + c
-        return Poly(ring, {key: c if type(c) is int or c.denominator != 1 else c.numerator
-                           for key, c in out.items() if c}, _trusted=True)
+        return Poly(ring, _reduced(out), _trusted=True)
 
     def is_u_free(self) -> bool:
         mask = self.ring.u_mask

@@ -214,11 +214,11 @@ def check_racah_structure(ctx: RacahContext) -> Report:
     report = Report("racah", {"n": ctx.n, "k_mode": "symbolic"})
     ctx.uncertified()
     subsets = nonempty_subsets(ctx.n)
+    sets = [set(A) for A in subsets]
+    texts = [str(s) for s in sets]
     zero = WeylOp.zero(ctx.ring)
-    for pos, A in enumerate(subsets):
-        set_a = set(A)
-        for B in subsets[pos:]:
-            set_b = set(B)
+    for pos, (A, set_a, text_a) in enumerate(zip(subsets, sets, texts)):
+        for B, set_b, text_b in zip(subsets[pos:], sets[pos:], texts[pos:]):
             if not set_a & set_b:
                 kind = "disjoint"
             elif set_a <= set_b or set_b <= set_a:
@@ -227,7 +227,7 @@ def check_racah_structure(ctx: RacahContext) -> Report:
                 continue
             report.add(
                 timed_check(
-                    f"{kind}:{set_a}|{set_b}",
+                    f"{kind}:{text_a}|{text_b}",
                     f"{kind} subset Casimirs commute",
                     lambda: (ctx.set_commutator(A, B), zero),
                 )

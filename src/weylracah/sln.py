@@ -17,7 +17,7 @@ from functools import reduce
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
-from .poly import Poly, Rat, Ring, SparseSum, _as_rat
+from .poly import Poly, Rat, Ring, SparseSum, _as_rat, _reduced
 from .report import Report, timed_check
 from .weyl import WeylOp
 
@@ -129,7 +129,7 @@ class SlElement(SparseSum):
                     out[(i, l)] = out.get((i, l), 0) + a * b
                 if l == i:
                     out[(k, j)] = out.get((k, j), 0) - b * a
-        return SlElement(self.ring, {key: c for key, c in out.items() if c}, _trusted=True)
+        return SlElement(self.ring, _reduced(out), _trusted=True)
 
     def __repr__(self):
         return f"SlElement({self.label()})"
@@ -345,11 +345,12 @@ def check_sl_homomorphism(ctx: DmContext) -> Report:
     basis = SlElement.basis(ctx.m)
     report = Report("sln", {"m": ctx.m, "k_mode": "symbolic"})
     images = [ctx.sigma(x) for x in basis]
-    for x, sx in zip(basis, images):
-        for y, sy in zip(basis, images):
+    labels = [x.label() for x in basis]
+    for x, sx, x_label in zip(basis, images, labels):
+        for y, sy, y_label in zip(basis, images, labels):
             report.add(
                 timed_check(
-                    f"[{x.label()},{y.label()}]",
+                    f"[{x_label},{y_label}]",
                     "commutator of images matches image of bracket",
                     lambda: (sx.commutator(sy), ctx.sigma(x.bracket(y))),
                 )

@@ -16,7 +16,8 @@ from itertools import product
 from operator import add, sub
 from typing import Mapping
 
-from .poly import SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum, _add_products
+from .poly import (MAX_DEGREE, SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum,
+                   _add_products, _reduced)
 
 __all__ = ["WeylOp"]
 
@@ -32,8 +33,8 @@ GAMMA_WORK = 8
 def _lower_exponents(alpha: tuple, top: tuple) -> tuple:
     """All gamma with 0 <= gamma <= min(alpha, top) componentwise, with binomial weights.
 
-    Yields pairs (gamma, prod_i C(alpha_i, gamma_i)); the weights are the
-    coefficients of d^alpha p = sum_gamma C(alpha, gamma) (d^gamma p) d^(alpha-gamma).
+    Yields triples (gamma, prod_i C(alpha_i, gamma_i), alpha - gamma); the weights are
+    the coefficients of d^alpha p = sum_gamma C(alpha, gamma) (d^gamma p) d^(alpha-gamma).
     top is p's degree in each variable: a larger gamma_i differentiates p to zero.
     """
     ranges = [range(min(a, t) + 1) for a, t in zip(alpha, top)]
@@ -42,16 +43,16 @@ def _lower_exponents(alpha: tuple, top: tuple) -> tuple:
         weight = 1
         for a, g in zip(alpha, gamma):
             weight *= math.comb(a, g)
-        out.append((gamma, weight))
+        out.append((gamma, weight, tuple(map(sub, alpha, gamma))))
     return tuple(out)
 
 
 def _normal(ring: Ring, out: dict) -> "WeylOp":
-    """The operator of {exponent: {monomial: coefficient}} sums, zeros dropped."""
+    """The operator of {exponent: {monomial: coefficient}} sums, zeros
+    dropped and integral Fractions stored as ints."""
     terms = {}
     for exp, acc in out.items():
-        if not all(acc.values()):
-            acc = {m: c for m, c in acc.items() if c}
+        acc = _reduced(acc)
         if acc:
             terms[exp] = Poly(ring, acc, _trusted=True)
     return WeylOp(ring, terms, _trusted=True)
@@ -61,15 +62,18 @@ class WeylOp(SparseSum):
     """Element of the Weyl algebra over a ring's u-variables, in normal form.
 
     Sums, negation, equality and powers come from SparseSum; the product is
-    normal-ordered composition. `_derivs`, derived data and not part of `==`,
+    normal-ordered composition. Derived data, not part of `==`: `_derivs`
     maps (beta, gamma) to the terms and lead of d^gamma of the coefficient of
-    d^beta, filled by `_leibniz` when the operator is its right operand.
+    d^beta, filled by `_leibniz` when the operator is its right operand, and
+    `_bounds` holds two tuples, the largest exponent of each u-variable over
+    the coefficients and the largest derivative order in each variable, set
+    the first time the operator is a kernel operand.
     """
 
-    __slots__ = ("ring", "terms", "_derivs")
+    __slots__ = ("ring", "terms", "_derivs", "_bounds")
 
     def __init__(self, ring: Ring, terms: Mapping[tuple, Poly], *, _trusted=False):
-        self.ring, self._derivs = ring, None
+        self.ring, self._derivs, self._bounds = ring, None, None
         if _trusted:
             self.terms = terms
             return
@@ -148,11 +152,20 @@ class WeylOp(SparseSum):
 
     def _u_degrees(self, left: "WeylOp") -> tuple:
         """The largest exponent of each u-variable over all coefficients,
-        read only up to the highest order in which `left` differentiates that
+        capped at the highest order in which `left` differentiates that
         variable: composing left after self goes no deeper, so
-        min(alpha_i, top_i) is the same for every alpha of left."""
-        monomials = [m for q in self.terms.values() for m in q.terms]
-        return self.ring.capped_degrees(monomials, map(max, zip(*left.terms)))
+        min(alpha_i, top_i) is the same for every alpha of left. Each
+        operand's `_bounds` is read from its terms once."""
+        for op in (self, left):
+            if op._bounds is None:
+                shifts, tops = op.ring.shifts[: op.ring.num_vars], [0] * op.ring.num_vars
+                for q in op.terms.values():
+                    for m in q.terms:
+                        for i, shift in enumerate(shifts):
+                            if m >> shift & MAX_DEGREE > tops[i]:
+                                tops[i] = m >> shift & MAX_DEGREE
+                op._bounds = (tuple(tops), tuple(map(max, zip(*op.terms))))
+        return tuple(map(min, self._bounds[0], left._bounds[1]))
 
     def _leibniz(self, other: "WeylOp", start: int) -> "WeylOp":
         """self after other, or with start=1 their commutator: the Leibniz
@@ -179,13 +192,11 @@ class WeylOp(SparseSum):
                 derivs = right._derivs = {}
             top = right._u_degrees(left)
             for alpha, p in left.terms.items():
+                # top = 0 leaves gamma = 0 alone, the one expansion of a u-free product
+                expansions = (_lower_exponents(alpha, top) if any(top)
+                              else ((top, 1, alpha),))[start:]
                 if charge is not None:
-                    gammas = math.prod(min(a, t) + 1 for a, t in zip(alpha, top)) - start
-                    charge(GAMMA_WORK * gammas * len(right.terms))
-                expansions = [
-                    (gamma, sign * weight, tuple(map(sub, alpha, gamma)))
-                    for gamma, weight in _lower_exponents(alpha, top)[start:]
-                ]
+                    charge(GAMMA_WORK * len(expansions) * len(right.terms))
                 if not expansions:
                     continue
                 lead = max(p.terms)
@@ -206,7 +217,7 @@ class WeylOp(SparseSum):
                         acc = out.get(exp)
                         if acc is None:
                             acc = out[exp] = {}
-                        _add_products(acc, p.terms, dq[0], weight)
+                        _add_products(acc, p.terms, dq[0], sign * weight)
         return _normal(ring, out)
 
     def __rmul__(self, other):

@@ -355,6 +355,26 @@ def test_commute_work_skips_cancelling_terms(monkeypatch, capsys):
     assert capsys.readouterr().out == "0\n"
 
 
+def test_u_free_products_skip_the_expansion_cache(monkeypatch, capsys):
+    # a product of u-free operators has gamma = 0 as its one expansion, taken
+    # without the expansion cache; the work charged, and so where the
+    # request is refused, stays the same
+    argv = ["commute", "--n", "5", "--lhs", "(d1+d2+d3)^40", "--rhs", "(d1+d2+d3)^40"]
+    weyl._lower_exponents.cache_clear()
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert weyl._lower_exponents.cache_info().misses == 0
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 619877)
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a commute request of 619878 units of work exceeds the limit"
+                            " 619877\n")
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 619878)
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_refusal_leaves_the_context_sound(monkeypatch):
     # a refusal part way through an atom's build or a product leaves the
     # context's pair Casimirs, derivative tables and tree values as sound as

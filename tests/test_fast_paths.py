@@ -14,6 +14,7 @@ from functools import partial
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import perturbed_context, random_weyl
 from weylracah import (
@@ -31,9 +32,11 @@ from weylracah import (
     eval_tree_matrix,
     print_canonical,
     to_matrix,
+    verify_embedding,
 )
 from weylracah.report import timed_check
-from weylracah.sln import GenEuler, GenT, ProdNode, ScalarNode, SumNode, euler_tree, nonempty_subsets
+from weylracah.sln import (GenEuler, GenT, ProdNode, ScalarNode, SumNode, euler_tree, evaluate,
+                           nonempty_subsets)
 
 
 @pytest.fixture(scope="module")
@@ -45,17 +48,11 @@ def coefficients(op: WeylOp):
     return [c for p in op.terms.values() for c in p.terms.values()]
 
 
-def as_fractions(op: WeylOp) -> WeylOp:
-    """The same operator with every coefficient stored as a Fraction."""
-    ring = op.ring
-    return WeylOp(
-        ring,
-        {
-            alpha: Poly(ring, {m: Fraction(c) for m, c in p.terms.items()}, _trusted=True)
-            for alpha, p in op.terms.items()
-        },
-        _trusted=True,
-    )
+def as_fractions(x):
+    """The same operator or polynomial with every coefficient stored as a Fraction."""
+    if isinstance(x, Poly):
+        return Poly(x.ring, {m: Fraction(c) for m, c in x.terms.items()}, _trusted=True)
+    return WeylOp(x.ring, {alpha: as_fractions(p) for alpha, p in x.terms.items()}, _trusted=True)
 
 
 def test_subset_commutators_match_direct_path(rc5):
@@ -98,6 +95,51 @@ def test_casimir_and_image_coefficients_are_ints(rc5):
     for x in basis:
         for y in basis:
             assert all(type(c) is int for c in x.bracket(y).terms.values())
+
+
+def test_tree_built_operators_have_int_coefficients():
+    # the Euler tree scales a sum by -1/m, and every coefficient of the
+    # result is integral: it and each value built from it hold ints only;
+    # the scalar leaf -1/m is the one node value that is not integral
+    ctx = RacahContext(5)
+    dm = ctx.dm
+    ops = [evaluate(euler_tree(dm), dm)]
+    ops += [embedded_c_pair(ctx, i, j).op for i, j in combinations(range(1, 6), 2)]
+    assert verify_embedding(ctx).ok()
+    ops += [value for node, value in dm._values.items()
+            if isinstance(value, WeylOp) and not isinstance(node, ScalarNode)]
+    assert len(ops) > 100
+    for op in ops:
+        assert all(type(c) is int for c in coefficients(op))
+
+
+RING = Ring(2, 1)
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+small_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), small_rationals, max_size=3)
+small_ops = st.builds(
+    lambda d: WeylOp(RING, {alpha: Poly(RING, t) for alpha, t in d.items()}),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), small_polys, max_size=3),
+)
+non_integral = st.builds(Fraction, st.integers(-6, 6), st.integers(2, 4)).filter(
+    lambda s: s.denominator != 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_ops, small_ops, non_integral)
+def test_integral_results_are_stored_as_ints(a, b, s):
+    # coefficients with denominators up to 4 often multiply, add or scale
+    # to integers; the all-Fraction reference fixes the values
+    p, q = a.terms.get((0, 0), RING.zero()), b.terms.get((1, 0), RING.one())
+    fa, fb, fp, fq = map(as_fractions, (a, b, p, q))
+    for result, reference in (
+        (a * b, fa * fb), (a.commutator(b), fa.commutator(fb)), (a + b, fa + fb),
+        (a - b, fa - fb), (s * a, s * fa), (a * s, fa * s), (p * q, fp * fq),
+        (p + q, fp + fq), (s * p, s * fp), (q.diff_multi((1, 0)), fq.diff_multi((1, 0))),
+    ):
+        assert result == reference
+        values = coefficients(result) if isinstance(result, WeylOp) else result.terms.values()
+        assert all(type(c) is int or c.denominator != 1 for c in values)
+        assert all(values)
 
 
 def test_fractions_stay_where_needed(rc5):

@@ -108,24 +108,36 @@ def test_order_and_degrees_match_tuple_reference(a):
     assert p.is_constant() == all(not any(e) for e in a)
 
 
+def op_of(table: dict) -> WeylOp:
+    return WeylOp(RING, {alpha: Poly(RING, t) for alpha, t in table.items()})
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.dictionaries(orders, tables, max_size=3), st.dictionaries(orders, tables, max_size=3))
-def test_u_degrees_match_tuple_reference(left, right):
-    a = WeylOp(RING, {alpha: Poly(RING, t) for alpha, t in left.items()})
-    b = WeylOp(RING, {alpha: Poly(RING, t) for alpha, t in right.items()})
-    # only the left operand's derivative orders bound the reading
-    caps = [max((alpha[i] for alpha in a.terms), default=0) for i in range(2)]
+@given(st.lists(st.dictionaries(orders, tables, max_size=3), min_size=1, max_size=4),
+       st.dictionaries(orders, tables, max_size=3))
+def test_u_degrees_match_tuple_reference(lefts, right):
+    # one right operand serves each left operand in turn, its bounds cached
+    # from the first; only the left operand's derivative orders cap them
+    b = op_of(right)
     monomials = [e for alpha in b.terms for e in clean(right[alpha])]
     tops = [max((e[i] for e in monomials), default=0) for i in range(2)]
-    expected = tuple(min(c, t) for c, t in zip(caps, tops)) if a.terms else ()
-    assert b._u_degrees(a) == expected
+    for left in lefts:
+        a = op_of(left)
+        caps = [max((alpha[i] for alpha in a.terms), default=0) for i in range(2)]
+        expected = tuple(min(c, t) for c, t in zip(caps, tops)) if a.terms else ()
+        assert b._u_degrees(a) == expected
+        # a stale or wrongly shared bound would cut off Leibniz terms
+        for x, y in ((a, b), (b, a)):
+            fx, fy = WeylOp(RING, dict(x.terms)), WeylOp(RING, dict(y.terms))
+            assert x * y == fx * fy
+            assert x.commutator(y) == fx.commutator(fy)
 
 
 @settings(max_examples=100, deadline=None)
 @given(tables, st.dictionaries(orders, tables, max_size=3), scalars)
 def test_scalar_products_match_constant_products(a, ops, c):
     p = Poly(RING, a)
-    op = WeylOp(RING, {alpha: Poly(RING, t) for alpha, t in ops.items()})
+    op = op_of(ops)
     for scaled in (p * c, c * p):
         assert scaled == p * RING.const(c)
         assert all(scaled.terms.values())
