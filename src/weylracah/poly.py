@@ -50,8 +50,12 @@ def _as_rat(value) -> int | Rat:
         return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass int, Fraction, or a 'p/q' string")
-    c = Rat(value)
-    return c.numerator if c.denominator == 1 else c
+    return _integral(Rat(value))
+
+
+def _integral(c):
+    """c, or its int when c is an integral Fraction."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 def _reduced(terms: dict) -> dict:
@@ -60,8 +64,7 @@ def _reduced(terms: dict) -> dict:
     values = terms.values()
     if all(values) and Fraction not in map(type, values):
         return terms
-    return {key: c if type(c) is not Fraction or c.denominator != 1 else c.numerator
-            for key, c in terms.items() if c}
+    return {key: _integral(c) for key, c in terms.items() if c}
 
 
 def _add_products(acc: dict, a: Mapping, b: Mapping, scale) -> None:
@@ -234,14 +237,10 @@ class SparseSum:
             acc = out.get(key)
             if acc is None:
                 out[key] = c
+            elif acc := _integral(acc + c):
+                out[key] = acc
             else:
-                acc = acc + c
-                if type(acc) is Fraction and acc.denominator == 1:
-                    acc = acc.numerator
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
+                del out[key]
         return type(self)(self.ring, out, _trusted=True)
 
     __radd__ = __add__

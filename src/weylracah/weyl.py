@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
-from operator import add, sub
+from operator import add, or_, sub
 from typing import Mapping
 
 from .poly import (MAX_DEGREE, SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum,
@@ -62,18 +62,18 @@ class WeylOp(SparseSum):
     """Element of the Weyl algebra over a ring's u-variables, in normal form.
 
     Sums, negation, equality and powers come from SparseSum; the product is
-    normal-ordered composition. Derived data, not part of `==`: `_derivs`
-    maps (beta, gamma) to the terms and lead of d^gamma of the coefficient of
-    d^beta, filled by `_leibniz` when the operator is its right operand, and
-    `_bounds` holds two tuples, the largest exponent of each u-variable over
-    the coefficients and the largest derivative order in each variable, set
-    the first time the operator is a kernel operand.
+    normal-ordered composition. Derived data, not part of `==`, set by
+    `_leibniz`: `_derivs` maps (beta, gamma) to the terms and lead of d^gamma
+    of the coefficient of d^beta, and `_tops` holds the largest exponent of
+    each u-variable over the coefficients, both when the operator is its
+    right operand; `_orders` holds its largest derivative order in each
+    variable, when it is the left one.
     """
 
-    __slots__ = ("ring", "terms", "_derivs", "_bounds")
+    __slots__ = ("ring", "terms", "_derivs", "_tops", "_orders")
 
     def __init__(self, ring: Ring, terms: Mapping[tuple, Poly], *, _trusted=False):
-        self.ring, self._derivs, self._bounds = ring, None, None
+        self.ring, self._derivs, self._tops, self._orders = ring, None, None, None
         if _trusted:
             self.terms = terms
             return
@@ -151,21 +151,24 @@ class WeylOp(SparseSum):
         return _normal(self.ring, out)
 
     def _u_degrees(self, left: "WeylOp") -> tuple:
-        """The largest exponent of each u-variable over all coefficients,
-        capped at the highest order in which `left` differentiates that
-        variable: composing left after self goes no deeper, so
-        min(alpha_i, top_i) is the same for every alpha of left. Each
-        operand's `_bounds` is read from its terms once."""
-        for op in (self, left):
-            if op._bounds is None:
-                shifts, tops = op.ring.shifts[: op.ring.num_vars], [0] * op.ring.num_vars
-                for q in op.terms.values():
-                    for m in q.terms:
-                        for i, shift in enumerate(shifts):
-                            if m >> shift & MAX_DEGREE > tops[i]:
-                                tops[i] = m >> shift & MAX_DEGREE
-                op._bounds = (tuple(tops), tuple(map(max, zip(*op.terms))))
-        return tuple(map(min, self._bounds[0], left._bounds[1]))
+        """The largest exponent of each u-variable over all coefficients
+        (`_tops`), capped at the highest order in which `left` differentiates
+        that variable (its `_orders`): composing left after self goes no
+        deeper, so min(alpha_i, top_i) is the same for every alpha of left.
+        A field of the OR of all monomials that is 0 or a power of two is
+        the largest exponent; only the other fields are scanned."""
+        if self._tops is None:
+            bits = reduce(or_, [reduce(or_, q.terms, 0) for q in self.terms.values()], 0)
+            tops = []
+            for shift in self.ring.shifts[: self.ring.num_vars]:
+                t = bits >> shift & MAX_DEGREE
+                if t & (t - 1):
+                    t = max(m >> shift & MAX_DEGREE for q in self.terms.values() for m in q.terms)
+                tops.append(t)
+            self._tops = tuple(tops)
+        if left._orders is None:
+            left._orders = tuple(map(max, zip(*left.terms)))
+        return tuple(map(min, self._tops, left._orders))
 
     def _leibniz(self, other: "WeylOp", start: int) -> "WeylOp":
         """self after other, or with start=1 their commutator: the Leibniz
@@ -192,11 +195,12 @@ class WeylOp(SparseSum):
                 derivs = right._derivs = {}
             top = right._u_degrees(left)
             for alpha, p in left.terms.items():
+                if charge is not None:
+                    gammas = math.prod(min(a, t) + 1 for a, t in zip(alpha, top)) - start
+                    charge(GAMMA_WORK * gammas * len(right.terms))
                 # top = 0 leaves gamma = 0 alone, the one expansion of a u-free product
                 expansions = (_lower_exponents(alpha, top) if any(top)
                               else ((top, 1, alpha),))[start:]
-                if charge is not None:
-                    charge(GAMMA_WORK * len(expansions) * len(right.terms))
                 if not expansions:
                     continue
                 lead = max(p.terms)

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import re
 import shlex
@@ -418,15 +419,27 @@ def _box(var: str, indices) -> str:
     )
 
 
-def test_large_requests_end_within_one_budget(capsys):
+def test_large_requests_end_within_one_budget(capsys, monkeypatch):
     # each is refused after at most one budget of work, about a second on a
     # 2-vCPU VM; the bound leaves room for a slow or busy host
+    real = weyl._lower_exponents
+
+    def listed(alpha, top):
+        # no expansion list is built before its visits are charged
+        assert math.prod(min(a, t) + 1 for a, t in zip(alpha, top)) <= 10**6
+        return real(alpha, top)
+
+    monkeypatch.setattr(weyl, "_lower_exponents", listed)
     for argv in (
         ["commute", "--n", "10", "--lhs", _box("d", range(1, 5)) + " + d5^7 d6^7 d7^7 d8^7",
          "--rhs", _box("u", range(5, 9)) + " + u1^7 u2^7 u3^7 u4^7"],
         ["commute", "--n", "12", "--lhs", _box("d", range(1, 6)),
          "--rhs", "u1^7 + u2^7 + u3^7 + u4^7 + u5^7"],
         ["normalize", "--n", "5", "--expr", "(u1+u2+u3+d1+d2+d3)^64"],
+        # two cheap monomials whose product has 65^5 expansions: charged before
+        # any is listed, so refused before the expansion cache fills memory
+        ["commute", "--n", "7", "--lhs", "d1^64 d2^64 d3^64 d4^64 d5^64",
+         "--rhs", "u1^64 u2^64 u3^64 u4^64 u5^64"],
     ):
         start = time.perf_counter()
         assert run_cli(argv) == 2
