@@ -152,8 +152,6 @@ def run_cli(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    return 2
-
 
 def main() -> None:
     try:

@@ -34,9 +34,11 @@ MAX_EXPONENT = 64
 MAX_DEPTH = 64
 # Most work that the products of one `elaborate` call, or of one `commute`
 # request with its commutator, may do together, in the units that the products
-# charge through `weyl.CHARGE` (one per coefficient term pair). A unit takes
-# about 0.2-0.9 us with integer coefficients and about 3 us with Fraction ones,
-# on a 2-vCPU VM under CPython 3.11.
+# charge through `weyl.CHARGE`: one per coefficient term pair, one per term of
+# each derivative of a right operand's coefficient, and `weyl.GAMMA_WORK` per
+# (gamma, beta) that the Leibniz kernel visits. A unit takes about 0.2-0.9 us
+# with integer coefficients and about 3 us with Fraction ones, on a 2-vCPU VM
+# under CPython 3.11.
 MAX_PRODUCT_WORK = 2_000_000
 
 

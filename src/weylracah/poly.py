@@ -153,6 +153,12 @@ class Ring:
         """The exponent vector of a packed monomial."""
         return tuple(m >> shift & MAX_DEGREE for shift in self.shifts)
 
+    def u_degrees(self, polys: Iterable[Poly]) -> tuple:
+        """The largest exponent of each u-variable over the terms of polys, 0 where none."""
+        monomials = [m for p in polys for m in p.terms]
+        return tuple(max([m >> shift & MAX_DEGREE for m in monomials], default=0)
+                     for shift in self.shifts[: self.num_vars])
+
     def check_product(self, m1: int, m2: int) -> None:
         """Raise MonomialOverflowError if monomial m1 times m2 passes MAX_DEGREE."""
         degree = (m1 >> self.degree_shift) + (m2 >> self.degree_shift)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
-from operator import add, or_, sub
+from operator import add, sub
 from typing import Mapping
 
-from .poly import (MAX_DEGREE, SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum,
-                   _add_products, _reduced)
+from .poly import SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum, _add_products, _reduced
 
 __all__ = ["WeylOp"]
 
@@ -63,17 +62,15 @@ class WeylOp(SparseSum):
 
     Sums, negation, equality and powers come from SparseSum; the product is
     normal-ordered composition. Derived data, not part of `==`, set by
-    `_leibniz`: `_derivs` maps (beta, gamma) to the terms and lead of d^gamma
-    of the coefficient of d^beta, and `_tops` holds the largest exponent of
-    each u-variable over the coefficients, both when the operator is its
-    right operand; `_orders` holds its largest derivative order in each
-    variable, when it is the left one.
+    `_leibniz` when the operator is its right operand: `_derivs` maps (beta,
+    gamma) to the terms and lead of d^gamma of the coefficient of d^beta, and
+    `_tops` holds the largest exponent of each u-variable over the coefficients.
     """
 
-    __slots__ = ("ring", "terms", "_derivs", "_tops", "_orders")
+    __slots__ = ("ring", "terms", "_derivs", "_tops")
 
     def __init__(self, ring: Ring, terms: Mapping[tuple, Poly], *, _trusted=False):
-        self.ring, self._derivs, self._tops, self._orders = ring, None, None, None
+        self.ring, self._derivs, self._tops = ring, None, None
         if _trusted:
             self.terms = terms
             return
@@ -150,26 +147,6 @@ class WeylOp(SparseSum):
             _add_products(out.setdefault(beta, {}), p.terms, q.terms, 1)
         return _normal(self.ring, out)
 
-    def _u_degrees(self, left: "WeylOp") -> tuple:
-        """The largest exponent of each u-variable over all coefficients
-        (`_tops`), capped at the highest order in which `left` differentiates
-        that variable (its `_orders`): composing left after self goes no
-        deeper, so min(alpha_i, top_i) is the same for every alpha of left.
-        A field of the OR of all monomials that is 0 or a power of two is
-        the largest exponent; only the other fields are scanned."""
-        if self._tops is None:
-            bits = reduce(or_, [reduce(or_, q.terms, 0) for q in self.terms.values()], 0)
-            tops = []
-            for shift in self.ring.shifts[: self.ring.num_vars]:
-                t = bits >> shift & MAX_DEGREE
-                if t & (t - 1):
-                    t = max(m >> shift & MAX_DEGREE for q in self.terms.values() for m in q.terms)
-                tops.append(t)
-            self._tops = tuple(tops)
-        if left._orders is None:
-            left._orders = tuple(map(max, zip(*left.terms)))
-        return tuple(map(min, self._tops, left._orders))
-
     def _leibniz(self, other: "WeylOp", start: int) -> "WeylOp":
         """self after other, or with start=1 their commutator: the Leibniz
         kernel over raw coefficient maps.
@@ -183,17 +160,18 @@ class WeylOp(SparseSum):
         which every term pair adds weight * c1 * c2 directly; zeros are dropped
         once, at the end. Each (p, d^gamma q) pair formed is degree-checked as
         the product p * d^gamma q would be; a vanishing d^gamma q forms none.
-        Each d^gamma q is taken once per right operand, in its `_derivs` table.
+        Each d^gamma q is taken once per right operand, in its `_derivs` table;
+        no gamma_i passes the right operand's `_tops`, past which d^gamma q is 0.
         Under a CHARGE, each step is charged before it is taken: the (gamma,
         beta) visits of each alpha, the terms of each d^gamma q formed, each pair.
         """
         ring, charge = self.ring, CHARGE.get()
         out: dict[tuple, dict] = {}
         for left, right, sign in ((self, other, 1), (other, self, -1))[: start + 1]:
-            derivs = right._derivs
+            derivs, top = right._derivs, right._tops
             if derivs is None:
                 derivs = right._derivs = {}
-            top = right._u_degrees(left)
+                top = right._tops = ring.u_degrees(right.terms.values())
             for alpha, p in left.terms.items():
                 if charge is not None:
                     gammas = math.prod(min(a, t) + 1 for a, t in zip(alpha, top)) - start

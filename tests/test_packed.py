@@ -9,9 +9,9 @@ from fractions import Fraction
 from math import perm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import num_symbols, total_degree, u_degree
+from helpers import charged, num_symbols, total_degree, u_degree
 from weylracah import MonomialOverflowError, Poly, Rat, Ring, WeylOp, run_cli
 from weylracah.poly import MAX_DEGREE
 
@@ -115,22 +115,27 @@ def op_of(table: dict) -> WeylOp:
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.dictionaries(orders, tables, max_size=3), min_size=1, max_size=4),
        st.dictionaries(orders, tables, max_size=3))
-def test_u_degrees_match_tuple_reference(lefts, right):
-    # one right operand serves each left operand in turn, its bounds cached
-    # from the first; only the left operand's derivative orders cap them
+@example([{(1, 1): {(1, 0, 0, 0, 0): 1}}], {})
+def test_right_operand_bound_matches_tuple_reference(lefts, right):
+    # one right operand serves each left operand in turn, its bound set on its
+    # first use as a right operand: the largest exponent of each u-variable
+    # over its coefficients, whatever the left operand differentiates
     b = op_of(right)
     monomials = [e for alpha in b.terms for e in clean(right[alpha])]
-    tops = [max((e[i] for e in monomials), default=0) for i in range(2)]
+    tops = tuple(max((e[i] for e in monomials), default=0) for i in range(2))
     for left in lefts:
         a = op_of(left)
-        caps = [max((alpha[i] for alpha in a.terms), default=0) for i in range(2)]
-        expected = tuple(min(c, t) for c, t in zip(caps, tops)) if a.terms else ()
-        assert b._u_degrees(a) == expected
-        # a stale or wrongly shared bound would cut off Leibniz terms
         for x, y in ((a, b), (b, a)):
             fx, fy = WeylOp(RING, dict(x.terms)), WeylOp(RING, dict(y.terms))
+            # a stale or wrongly shared bound would cut off Leibniz terms
             assert x * y == fx * fy
             assert x.commutator(y) == fx.commutator(fy)
+            # now both sides' derivative tables hold every d^gamma q these
+            # products form, so the charges left are the (gamma, beta) visits
+            # and the term pairs, which the bound decides
+            assert charged(lambda: x * y) == charged(lambda: fx * fy)
+            assert charged(lambda: x.commutator(y)) == charged(lambda: fx.commutator(fy))
+        assert b._tops == tops
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import diff, random_poly, random_weyl
 from weylracah import (
@@ -17,6 +18,7 @@ from weylracah import (
     parse,
 )
 from weylracah.poly import MAX_DEGREE
+from weylracah.weyl import _lower_exponents
 
 
 @pytest.fixture
@@ -330,6 +332,24 @@ def test_pow(ring):
         for n in range(6):
             assert op**n == expected, (op, n)
             expected = expected * op
+
+
+small_vectors = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_vectors, small_vectors, small_vectors)
+def test_expansions_read_only_the_bound_below_alpha(alpha, top, extra):
+    # a bound capped at any c >= alpha lists the same expansions: the kernel
+    # reads min(alpha_i, top_i) alone, so its bound needs no cap from the left
+    width = min(len(alpha), len(top), len(extra))
+    alpha, top = tuple(alpha[:width]), tuple(top[:width])
+    cap = tuple(a + e for a, e in zip(alpha, extra))
+    capped = tuple(map(min, top, cap))
+    assert _lower_exponents(alpha, top) == _lower_exponents(alpha, capped)
+    if not any(map(min, alpha, top)):
+        # the one expansion that the kernel's u-free shortcut takes
+        assert _lower_exponents(alpha, top) == (((0,) * width, 1, alpha),)
 
 
 def test_leibniz_terms_bounded_by_right_degree(monkeypatch):
