@@ -45,8 +45,12 @@ class RacahContext:
         self._pairs: dict = {}
         # the embedded pair Casimir of each sorted pair, filled by embed.embedded_c_pair
         self.embedded_pairs: dict = {}
+        # the maps of to_prefix and from_prefix, each pair's image, [phi C_p, phi C_q] and
         # [C_p, C_q] keyed by sorted pairs p < q, and the map `uncertified` builds
+        self._maps: tuple | None = None
+        self._images: dict = {}
         self._brackets: dict = {}
+        self._u_brackets: dict = {}
         self._uncertified: dict | None = None
 
     def __repr__(self):
@@ -133,29 +137,61 @@ class RacahContext:
         """Casimir of a factor subset, by `subset_casimir`."""
         return subset_casimir(self.subset_key(A), self.c_single, self.c_pair)
 
-    def pair_commutator(self, p: tuple, q: tuple) -> WeylOp:
-        """[C_p, C_q] for sorted pairs p < q, computed once."""
+    def _prefix_maps(self) -> tuple:
+        """The (u-images, d-images) of to_prefix and of from_prefix, built once."""
+        if self._maps is None:
+            ring, span, d = self.ring, range(1, self.n - 1), self.partial_or_zero
+            to = ([ring.u(i) - ring.u(i - 1) if i > 1 else ring.u(1) for i in span],
+                  [sum(map(d, range(i, self.n - 1)), WeylOp.zero(ring)) for i in span])
+            self._maps = to, ([self.u_range(1, i) for i in span], [self.step(i + 2) for i in span])
+        return self._maps
+
+    def to_prefix(self, op: WeylOp) -> WeylOp:
+        """op in prefix coordinates V_j = u_1 + ... + u_j (written u_j), by the Weyl-algebra
+        automorphism u_i -> V_i - V_{i-1}, d_i -> d_{V_i} + ... + d_{V_{n-2}}. It takes step(j)
+        to d_{V_{j-2}} and u_{lo-1..hi-2} to V_{hi-2} - V_{lo-2}: for lo >= 3, c_pair(lo, hi)
+        becomes the two-body su(1,1) Casimir in x_lo = V_{lo-2} and x_hi = V_{hi-2}."""
+        return op.substitute(*self._prefix_maps()[0])
+
+    def from_prefix(self, op: WeylOp) -> WeylOp:
+        """The inverse of to_prefix: u_i -> u_1 + ... + u_i, d_i -> d_i - d_{i+1} = step(i + 2)."""
+        return op.substitute(*self._prefix_maps()[1])
+
+    def prefix_commutator(self, p: tuple, q: tuple) -> WeylOp:
+        """[phi C_p, phi C_q] for sorted pairs p < q, the table entry, from the to_prefix images
+        of c_set(p) and c_set(q), each formed once. As phi (to_prefix) is an automorphism,
+        entries are zero or equal exactly where the [C_p, C_q] are."""
         if (p, q) not in self._brackets:
-            self._brackets[p, q] = self.c_set(p).commutator(self.c_set(q))
+            for pair in (p, q):
+                if pair not in self._images:
+                    self._images[pair] = self.to_prefix(self.c_set(pair))
+            self._brackets[p, q] = self._images[p].commutator(self._images[q])
         return self._brackets[p, q]
+
+    def pair_commutator(self, p: tuple, q: tuple) -> WeylOp:
+        """[C_p, C_q] for sorted pairs p < q: the table entry mapped back by from_prefix,
+        once. Only pair sums that the table does not certify read it."""
+        if (p, q) not in self._u_brackets:
+            self._u_brackets[p, q] = self.from_prefix(self.prefix_commutator(p, q))
+        return self._u_brackets[p, q]
 
     def uncertified(self) -> dict:
         """Each table entry that does not certify, built once in its own
         guarded build: a triple t = (i, j, k) whose [C_ij,C_jk] = [C_jk,C_ik] =
         [C_ik,C_ij] fails, or a nonzero disjoint entry, maps to None; an entry
-        whose build raised maps to its exception. The table keeps [C_ij,C_jk]."""
+        whose build raised maps to its exception. The table entries decide it:
+        [C_jk,C_ik] and [C_ik,C_ij] are minus those of (ik, jk) and (ij, ik)."""
         if self._uncertified is None:
-            bad, cs, factors = {}, self.c_set, range(1, self.n + 1)
+            bad, table, factors = {}, self.prefix_commutator, range(1, self.n + 1)
             pairs = combinations(combinations(factors, 2), 2)
             disjoint = [(p, q) for p, q in pairs if not {*p} & {*q}]
             for key in [*combinations(factors, 3), *disjoint]:
                 try:
                     if len(key) == 3:
                         ij, jk, ik = key[:2], key[1:], key[::2]
-                        g = self.pair_commutator(ij, jk)
-                        ok = g == cs(jk).commutator(cs(ik)) == cs(ik).commutator(cs(ij))
+                        ok = -table(ij, jk) == table(ik, jk) == table(ij, ik)
                     else:
-                        ok = not self.pair_commutator(*key)
+                        ok = not table(*key)
                     if not ok:
                         bad[key] = None
                 except Exception as exc:

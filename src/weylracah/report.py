@@ -43,6 +43,10 @@ class Report:
         self.checks.append(check)
 
     def extend(self, other: "Report", prefix: str = "") -> None:
+        """Append other's checks with prefixed ids; with no prefix, the frozen checks themselves."""
+        if not prefix:
+            self.checks.extend(other.checks)
+            return
         for c in other.checks:
             self.checks.append(
                 Check(f"{prefix}{c.id}", c.description, c.lhs, c.rhs, c.equal, c.ms)

@@ -16,7 +16,8 @@ from itertools import product
 from operator import add, sub
 from typing import Mapping
 
-from .poly import SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum, _add_products, _reduced
+from .poly import (MAX_DEGREE, SCALAR_TYPES, ContextMismatchError, Poly, Ring, SparseSum,
+                   _add_products, _reduced)
 
 __all__ = ["WeylOp"]
 
@@ -55,6 +56,16 @@ def _normal(ring: Ring, out: dict) -> "WeylOp":
         if acc:
             terms[exp] = Poly(ring, acc, _trusted=True)
     return WeylOp(ring, terms, _trusted=True)
+
+
+def _power_product(images: list, exps: tuple) -> dict:
+    """prod_i images[i]^exps[i] over raw {packed monomial: coefficient} maps."""
+    acc = {0: 1}
+    for image, e in zip(images, exps):
+        for _ in range(e):
+            acc, prev = {}, acc
+            _add_products(acc, prev, image, 1)
+    return acc
 
 
 class WeylOp(SparseSum):
@@ -229,6 +240,33 @@ class WeylOp(SparseSum):
             raise ContextMismatchError(f"{self.ring!r} vs {p.ring!r}")
         return sum((coeff * p.diff_multi(alpha) for alpha, coeff in self.terms.items()),
                    self.ring.zero())
+
+    def substitute(self, u_images: list[Poly], d_images: list["WeylOp"]) -> "WeylOp":
+        """The image under the algebra map u_i -> u_images[i-1], d_i -> d_images[i-1], for
+        linear u-images and constant-coefficient derivative sums that keep the Weyl relations:
+        p_alpha d^alpha goes to p_alpha(u_images) prod_i d_images[i-1]^alpha_i, in normal order
+        as the sums commute. A sum's d^beta is keyed as the packed u^beta."""
+        ring, pad = self.ring, (0,) * (1 + self.ring.num_nu)
+        if any(x.ring != ring for x in (*u_images, *d_images)):
+            raise ContextMismatchError(f"images outside {ring!r}")
+        shifts = ring.shifts[: ring.num_vars]
+        us = [p.terms for p in u_images]
+        ds = [{ring.pack(beta + pad): p.constant_value() for beta, p in op.terms.items()}
+              for op in d_images]
+        out: dict[tuple, dict] = {}
+        for alpha, p in self.terms.items():
+            parts: dict = {}  # the u-free parts of p's terms, by their u-exponents
+            for m, c in p.terms.items():
+                exps = tuple(m >> s & MAX_DEGREE for s in shifts)
+                rest = (m & ~ring.u_mask) - (sum(exps) << ring.degree_shift)
+                parts.setdefault(exps, {})[rest] = c
+            coeff: dict = {}
+            for exps, rest in parts.items():
+                _add_products(coeff, rest, _power_product(us, exps), 1)
+            for key, c in _power_product(ds, alpha).items():
+                beta = tuple(key >> s & MAX_DEGREE for s in shifts)
+                _add_products(out.setdefault(beta, {}), coeff, {0: c}, 1)
+        return _normal(ring, out)
 
     def subs(self, assignment: Mapping[str, object]) -> "WeylOp":
         """Substitute parameter values into every coefficient.

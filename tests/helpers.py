@@ -157,12 +157,12 @@ def kernel_c_pair(ctx: RacahContext, i: int, j: int) -> tuple[WeylOp, WeylOp]:
     return lead, lead + middle + ctx.nu_casimir(lo, hi)
 
 
-def perturbed_context(n: int) -> RacahContext:
-    """A racah context at n whose C_13 has u1 d1 added, which breaks the
-    cyclic triples through (1, 3)."""
+def perturbed_context(n: int, pair: tuple = (1, 3)) -> RacahContext:
+    """A racah context at n whose C_pair (C_13 by default) has u1 d1 added,
+    which breaks cyclic triples through the pair."""
     ctx = RacahContext(n)
     u1_d1 = WeylOp.from_poly(ctx.ring.u(1)) * WeylOp.partial(ctx.ring, 1)
-    ctx._pairs[(1, 3)] = (ctx.c_pair_lead(1, 3), ctx.c_pair(1, 3) + u1_d1)
+    ctx._pairs[pair] = (ctx.c_pair_lead(*pair), ctx.c_pair(*pair) + u1_d1)
     return ctx
 
 

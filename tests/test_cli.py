@@ -237,6 +237,7 @@ def test_report_golden_digest(capsys):
         ("embedding", "6", 52, "761369db42c070cdac42b22ddd68c2c763a9c1e1970b111b6ceefd0c4f97683f"),
         ("all", "5", 632, "ddef53f5131bb12251fd6f9a41e365ba5f176dd2b8b2a77a7049c7b3cbb36d3e"),
         ("embedding", "8", 95, "0346d60204dc3496212119e88d01788640af3bd726f8adf0f91f2234439121ed"),
+        ("racah", "7", 3025, "ad4b25698ab8e0b398945974c21e25905aea978e112250ed49aa97f4e93c67d5"),
     ]
     for suite, n, count, expected in golden:
         assert run_cli(["verify", "--suite", suite, "--n", n, "--format", "json"]) == 0

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import perturbed_context, random_weyl
 from weylracah import (
+    ContextMismatchError,
     LeakageError,
     OpMatrix,
     Poly,
@@ -197,6 +198,72 @@ def test_perturbed_pair_fails_the_same_checks_on_both_paths():
     assert contexts[False].uncertified() == dict.fromkeys(uncertified)
 
 
+def test_perturbed_su11_pair_fails_the_same_checks_on_both_paths():
+    # u1 d1 added to C_35 at n=6, a pair whose prefix image is the short
+    # su(1,1) form: the table sees the perturbation through the image of the
+    # context's own operator, and the failing checks print u-coordinates.
+    # A check with {3, 5} in neither subset does not hold C_35, so its
+    # direct commutator is the unperturbed one, zero: the direct path is
+    # taken for the 373 checks that hold C_35
+    rows = racah_rows(perturbed_context(6, (3, 5)), False)
+    direct = perturbed_context(6, (3, 5))
+    zero = WeylOp.zero(direct.ring)
+    holding = {check_id: (A, B) for check_id, A, B in racah_pairs(6)
+               if {3, 5} <= {*A} or {3, 5} <= {*B}}
+    assert len(rows) == 966 and len(holding) == 373
+    for row in rows:
+        if row[0] in holding:
+            A, B = holding[row[0]]
+            c = timed_check(row[0], "", lambda: (direct.c_set(A).commutator(direct.c_set(B)), zero))
+            assert row == (c.id, c.lhs, c.rhs, c.equal)
+        else:
+            assert row[1:] == ("0", "0", True)
+    assert sum(not equal for *_, equal in rows) == 233
+    uncertified = [(1, 3, 5), (2, 3, 5), (3, 4, 5), (3, 5, 6)]
+    uncertified += [(p, (3, 5)) for p in ((1, 2), (1, 4), (1, 6), (2, 4), (2, 6))]
+    assert perturbed_context(6, (3, 5)).uncertified() == dict.fromkeys(uncertified)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_prefix_images_keep_the_weyl_relations(n):
+    # to_prefix and from_prefix on the generators: [phi d_i, phi u_k] =
+    # delta_ik, the u-images commute, the d-images commute, and each map
+    # undoes the other
+    ctx = RacahContext(n)
+    ring, m = ctx.ring, n - 2
+    us = [WeylOp.from_poly(ring.u(i)) for i in range(1, m + 1)]
+    ds = [WeylOp.partial(ring, i) for i in range(1, m + 1)]
+    phi_u, phi_d = [ctx.to_prefix(x) for x in us], [ctx.to_prefix(x) for x in ds]
+    one, zero = WeylOp.identity(ring), WeylOp.zero(ring)
+    for i in range(m):
+        for k in range(m):
+            assert phi_d[i].commutator(phi_u[k]) == (one if i == k else zero), (i, k)
+            assert phi_u[i].commutator(phi_u[k]) == zero
+            assert phi_d[i].commutator(phi_d[k]) == zero
+    assert [ctx.from_prefix(x) for x in phi_u + phi_d] == us + ds
+    assert [ctx.to_prefix(ctx.from_prefix(x)) for x in us + ds] == us + ds
+    # an operator of another ring has no image: its packed monomials mean other symbols
+    with pytest.raises(ContextMismatchError):
+        ctx.to_prefix(WeylOp.partial(Ring(m, n + 1), 1))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_prefix_pair_casimirs_are_su11_two_body_casimirs(n):
+    # for 3 <= lo < hi, to_prefix takes c_pair(lo, hi) to J0^2 - J0 - J+ J-
+    # of J = J^lo + J^hi, where J^j has J- = d, J0 = x d + nu_j and
+    # J+ = x^2 d + 2 nu_j x in x = x_j = V_{j-2}, the prefix variable u_{j-2}
+    ctx = RacahContext(n)
+    ring = ctx.ring
+
+    def su11(j: int) -> tuple:
+        x, d, nu = ring.u(j - 2), WeylOp.partial(ring, j - 2), ring.nu(j)
+        return d, WeylOp.from_poly(x) * d + nu, WeylOp.from_poly(x * x) * d + 2 * nu * x
+
+    for lo, hi in combinations(range(3, n + 1), 2):
+        j_minus, j0, j_plus = (a + b for a, b in zip(su11(lo), su11(hi)))
+        assert ctx.to_prefix(ctx.c_pair(lo, hi)) == j0 * j0 - j0 - j_plus * j_minus, (lo, hi)
+
+
 def racah_pairs(n: int):
     """(id, A, B) of every check of the racah suite at n."""
     subsets = nonempty_subsets(n)
@@ -213,9 +280,11 @@ def test_failing_disjoint_entry_fails_exactly_its_readers():
     # net weight, and only those: +1 from 12 in A and 34 in B, -1 from the
     # reverse; a check that reads it both ways fails certification but still
     # passes, as its pair sum skips both terms, which lie inside A & B
+    # the table keeps prefix-coordinate entries: d1 is planted as its image
     ctx = RacahContext(5)
     p, q = (1, 2), (3, 4)
-    ctx._brackets[p, q] = WeylOp.partial(ctx.ring, 1)
+    d1 = WeylOp.partial(ctx.ring, 1)
+    ctx._brackets[p, q] = ctx.to_prefix(d1)
     weights = {}
     for check_id, A, B in racah_pairs(5):
         w = (set(p) <= set(A) and set(q) <= set(B)) - (set(q) <= set(A) and set(p) <= set(B))
@@ -227,7 +296,7 @@ def test_failing_disjoint_entry_fails_exactly_its_readers():
     assert set(weights.values()) == {-1, 1}
     for c in checks:
         if not c.equal:
-            assert c.lhs == repr(weights[c.id] * ctx._brackets[p, q])
+            assert c.lhs == repr(weights[c.id] * d1)
 
 
 def table_reads(a: tuple, b: tuple) -> tuple[set, set] | None:
@@ -315,9 +384,10 @@ def failing_casimir(monkeypatch, key: tuple) -> None:
 
 
 def planted_context(n: int, p: tuple, q: tuple) -> RacahContext:
-    """A racah context at n whose table entry [C_p, C_q] is d_1."""
+    """A racah context at n whose table entry [C_p, C_q] is d_1, planted as its
+    prefix-coordinate image."""
     ctx = RacahContext(n)
-    ctx._brackets[p, q] = WeylOp.partial(ctx.ring, 1)
+    ctx._brackets[p, q] = ctx.to_prefix(WeylOp.partial(ctx.ring, 1))
     return ctx
 
 

@@ -53,6 +53,32 @@ weyl_ops = st.dictionaries(d_exponents, polys, max_size=3).map(
     lambda d: WeylOp(RING, {a: p for a, p in d.items()})
 )
 
+
+@st.composite
+def weyl_ops_in(draw, ring: Ring):
+    """An operator of weyl_ops moved to ring: u1, u2 and their derivatives
+    become those of two variables a <= b, and nu1 becomes nu_c. With a = b
+    the move is not a homomorphism, which an input needs not be."""
+    a = draw(st.integers(min_value=0, max_value=ring.num_vars - 1))
+    b = draw(st.integers(min_value=a, max_value=ring.num_vars - 1))
+    c = draw(st.integers(min_value=1, max_value=ring.num_nu))
+    width, terms = ring.num_vars + 1 + ring.num_nu, {}
+    for alpha, p in draw(weyl_ops).terms.items():
+        moved = [0] * ring.num_vars
+        moved[a] += alpha[0]
+        moved[b] += alpha[1]
+        coeff = {}
+        for m, value in p.terms.items():
+            e = [0] * width
+            e1, e2, ek, enu = RING.unpack(m)
+            e[a] += e1
+            e[b] += e2
+            e[ring.num_vars] = ek
+            e[ring.num_vars + c] = enu
+            coeff[tuple(e)] = coeff.get(tuple(e), 0) + value
+        terms[tuple(moved)] = terms.get(tuple(moved), 0) + Poly(ring, coeff)
+    return WeylOp(ring, terms)
+
 # Matrix entries: zero often, numerators past 2**64, and pairwise coprime
 # denominators, two of them primes above 2**61 and 2**64.
 DENOMINATORS = (1, 2, 3, 5, 7, 2305843009213693967, 18446744073709551629)
@@ -254,6 +280,23 @@ def test_jacobi_identity(a, b, c):
         + b.commutator(c.commutator(a))
     )
     assert total == WeylOp.zero(RING)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_prefix_map_is_an_automorphism(n):
+    # to_prefix is the racah table's change of variables: from_prefix undoes
+    # it and it carries commutators to commutators, on the operators of
+    # weyl_ops moved to the ring of each n
+    ctx = RacahContext(n)
+
+    @settings(max_examples=20, deadline=None)
+    @given(weyl_ops_in(ctx.ring), weyl_ops_in(ctx.ring))
+    def check(a, b):
+        phi_a, phi_b = ctx.to_prefix(a), ctx.to_prefix(b)
+        assert ctx.from_prefix(phi_a) == a
+        assert ctx.to_prefix(a.commutator(b)) == phi_a.commutator(phi_b)
+
+    check()
 
 
 @settings(max_examples=150, deadline=None)

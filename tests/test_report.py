@@ -27,7 +27,7 @@ from weylracah import (
     sln,
     verify_embedding,
 )
-from weylracah.report import timed_check
+from weylracah.report import Report, timed_check
 
 
 @pytest.fixture
@@ -158,3 +158,17 @@ def test_time_excludes_printing(monkeypatch):
     ring = Ring(2, 1)
     check = timed_check("slow", "", lambda: (WeylOp.partial(ring, 1), WeylOp.partial(ring, 2)))
     assert check.rhs == "d2" and check.ms < 50
+
+
+def test_extend_keeps_checks_without_a_prefix():
+    # a single suite's report takes the suite's frozen checks as they are;
+    # a prefix makes renamed copies and leaves the suite's checks alone
+    suite = check_racah_structure(perturbed_context(4))
+    single, merged = Report("racah", {}), Report("all", {})
+    single.extend(suite)
+    merged.extend(suite, "racah:")
+    assert all(a is b for a, b in zip(single.checks, suite.checks, strict=True))
+    for a, b in zip(merged.checks, suite.checks, strict=True):
+        assert a.id == f"racah:{b.id}" and a.ms == b.ms
+        assert (a.description, a.lhs, a.rhs, a.equal) == (b.description, b.lhs, b.rhs, b.equal)
+    assert not suite.checks[0].id.startswith("racah:")

@@ -161,11 +161,14 @@ def test_small_checks_unit_work_counts(monkeypatch):
 
 
 def test_racah_unit_work_counts(monkeypatch):
-    # one racah-n5 unit: 45 table commutators, each d^gamma q of a pair
-    # Casimir formed once in that operator's derivative table, and no
+    # one racah-n5 unit: 45 table commutators of the pair Casimirs' prefix
+    # images, each d^gamma q of an image formed once in that operator's
+    # derivative table (456; the u-coordinate operators formed 554), and no
     # operator added by set_commutator itself, since every entry certifies.
-    # The table is built once, before the checks: its 10 triples and 15
-    # disjoint entries read 25 entries, and the 301 checks read none
+    # The table is built once, before the checks: its 10 triples read their
+    # three entries each and its 15 disjoint entries one, 45 reads of 45
+    # distinct entries; the 301 checks read none, and no entry is mapped back
+    # to u-coordinates
     from weylracah.poly import Poly
     from weylracah.racah import RacahContext, check_racah_structure
     from weylracah.weyl import WeylOp
@@ -203,27 +206,35 @@ def test_racah_unit_work_counts(monkeypatch):
     monkeypatch.setattr(WeylOp, "__add__", counted_add)
     for name in ("set_commutator", "c_pair"):
         monkeypatch.setattr(RacahContext, name, marked(name))
-    pair_commutator = RacahContext.pair_commutator
+    def counted(name):
+        fn = getattr(RacahContext, name)
 
-    def counted_pair_commutator(self, p, q):
-        counts["pair_commutator"] += 1
-        return pair_commutator(self, p, q)
+        def wrapper(self, p, q):
+            counts[name] += 1
+            return fn(self, p, q)
 
-    monkeypatch.setattr(RacahContext, "pair_commutator", counted_pair_commutator)
+        return wrapper
+
+    for name in ("prefix_commutator", "pair_commutator"):
+        monkeypatch.setattr(RacahContext, name, counted(name))
     ctx = RacahContext(5)
     ctx.uncertified()
-    assert counts["pair_commutator"] == 25
+    assert counts["prefix_commutator"] == 45
     report = check_racah_structure(ctx)
     assert len(report.checks) == 301 and all(c.equal for c in report.checks)
-    assert counts == Counter(commutator=45, diff_multi=554, pair_commutator=25, set_commutator_adds=0)
+    assert counts == Counter(commutator=45, diff_multi=456, prefix_commutator=45,
+                             set_commutator_adds=0)
 
 
 def test_perturbed_racah_work_counts(monkeypatch):
     # u1 d1 added to C_13 at n=5: the three triples through (1, 3) are not
     # cyclic and 67 checks fail. Each of those triples fails its first
-    # comparison, one commutator less, and builds its two other entries for
-    # the pair sum: 45 - 3 + 6 commutators. Every WeylOp addition of the run
-    # is counted, those of the pair sums and of building the pair Casimirs
+    # comparison and leaves its third entry unbuilt, which the pair sum
+    # builds: 45 commutators, one per table entry (48 while a triple's other
+    # two commutators were not kept in the table). Every WeylOp addition of
+    # the run is counted, those of the pair sums, of building the pair
+    # Casimirs and the 9 of the derivative images of to_prefix and
+    # from_prefix (255 before those maps)
     from helpers import perturbed_context
     from weylracah.racah import check_racah_structure
     from weylracah.weyl import WeylOp
@@ -245,7 +256,7 @@ def test_perturbed_racah_work_counts(monkeypatch):
     report = check_racah_structure(ctx)
     assert len(report.checks) == 301
     assert sum(not c.equal for c in report.checks) == 67
-    assert counts == Counter(commutator=48, add=255)
+    assert counts == Counter(commutator=45, add=264)
 
 
 def test_pair_and_query_kernel_calls(monkeypatch, capsys):
