@@ -48,6 +48,8 @@ def _as_rat(value) -> int | Rat:
     """An exact coefficient: an int when the value is integral, else a Fraction."""
     if type(value) is int:
         return value
+    if type(value) is Fraction:
+        return _integral(value)
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass int, Fraction, or a 'p/q' string")
     return _integral(Rat(value))
@@ -86,7 +88,8 @@ class Ring:
 
     Exponent vectors are flat tuples ordered (u1..um, k, nu1..nun); `pack`
     and `unpack` convert them to and from packed monomials, and `shifts[pos]`
-    is the offset of symbol pos's field. Rings with equal shape are
+    is the offset of symbol pos's field. `valuation` is the one rule that
+    substitutes values for symbols. Rings with equal shape are
     interchangeable. `texts` caches the printed factors of packed monomials
     (int keys) and of derivative exponents (tuple keys), `_plans` the plans
     of `Poly.diff_multi`, and `_rows` the derivative rows on a bounded-degree
@@ -152,6 +155,32 @@ class Ring:
     def unpack(self, m: int) -> tuple:
         """The exponent vector of a packed monomial."""
         return tuple(m >> shift & MAX_DEGREE for shift in self.shifts)
+
+    def valuation(self, values: Mapping[str, object]) -> tuple:
+        """The substitution of rational values for the named symbols, as
+        (mask, value): mask selects the assigned symbols' fields of a packed
+        monomial m, and value(m & mask) is (v, drop), where v is the product
+        of their values' powers and m - drop is m without them, its degree
+        lowered to match. Each distinct part is valued once per valuation,
+        as an int numerator and denominator reduced once at the end."""
+        steps = [(self.shifts[self.index_of(name)], _as_rat(v)) for name, v in values.items()]
+        mask = sum(MAX_DEGREE << shift for shift, _ in steps)
+        memo = {}
+
+        def value(part: int) -> tuple:
+            got = memo.get(part)
+            if got is None:
+                num, den, degree = 1, 1, 0
+                for shift, x in steps:
+                    if e := part >> shift & MAX_DEGREE:
+                        num *= x.numerator**e
+                        den *= x.denominator**e
+                        degree += e
+                v = num if den == 1 else _integral(Rat(num, den))
+                got = memo[part] = (v, part + (degree << self.degree_shift))
+            return got
+
+        return mask, value
 
     def u_degrees(self, polys: Iterable[Poly]) -> tuple:
         """The largest exponent of each u-variable over the terms of polys, 0 where none."""
@@ -375,27 +404,22 @@ class Poly(SparseSum):
         return Poly(ring, _reduced(out), _trusted=True)
 
     def subs(self, assignment: Mapping[str, object]) -> "Poly":
-        """Substitute rational values for symbols named in the assignment.
+        """Substitute rational values for symbols named in the assignment,
+        by the ring's `valuation`.
 
         Unassigned symbols stay formal; keys must name symbols of the ring.
         A coefficient that multiplies out to an integer is stored as an int.
         """
         if not assignment:
             return self
-        ring = self.ring
-        steps = [(ring.shifts[ring.index_of(name)], _as_rat(v)) for name, v in assignment.items()]
-        degree_shift = ring.degree_shift
+        mask, value = self.ring.valuation(assignment)
         out = {}
         for m, c in self.terms.items():
-            key = m
-            for shift, value in steps:
-                e = m >> shift & MAX_DEGREE
-                if e:
-                    c = c * value**e
-                    key -= (e << shift) + (e << degree_shift)
+            v, drop = value(m & mask)
+            key, c = m - drop, c * v
             acc = out.get(key)
             out[key] = c if acc is None else acc + c
-        return Poly(ring, _reduced(out), _trusted=True)
+        return Poly(self.ring, _reduced(out), _trusted=True)
 
     def is_u_free(self) -> bool:
         mask = self.ring.u_mask

@@ -246,23 +246,6 @@ class OpMatrix:
         return f"OpMatrix(size={self.size})"
 
 
-def _substituted(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> WeylOp:
-    """op with the assignment substituted, which must fix k to the degree
-    bound and every nu. `WeylOp.subs` looks each name up once and rejects
-    unknown names and u variables, so those errors win over a bad k or nu."""
-    values = {name: _as_rat(v) for name, v in assignment.items()}
-    numeric = op.subs(values)
-    if "k" not in values:
-        raise ValueError("assignment must fix k")
-    kval = values["k"]
-    if kval.denominator != 1 or kval < 0 or int(kval) != pi.degree:
-        raise ValueError(f"k must equal the basis degree bound {pi.degree}, got {kval}")
-    missing = [f"nu{i}" for i in range(1, op.ring.num_nu + 1) if f"nu{i}" not in values]
-    if missing:
-        raise ValueError(f"assignment missing parameters: {', '.join(missing)}")
-    return numeric
-
-
 def _derivative_rows(ring: Ring, pi: PiBasis, alpha: tuple) -> list:
     """The nonzero entries of d^alpha on the basis as (m, w, col): column
     col, monomial u^b, goes to w u^(b - alpha), packed as m. One
@@ -287,23 +270,49 @@ def to_matrix(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> OpMa
     passes MAX_DEGREE raises MonomialOverflowError instead, when it is the
     first to fail.
 
-    The substituted operator is scaled once to int coefficients by the lcm
-    d of their denominators. Each term p_alpha d^alpha adds p_alpha times
-    the derivative rows of alpha into the column images, which are the
+    The assignment must fix k to the degree bound and every nu; its values
+    are read first, then its names, then k and the nu. The ring's
+    `valuation` values each distinct parameter part of the coefficients
+    once, and those values and the coefficients are scaled to ints over one
+    common denominator d. A term whose coefficient cancels under the
+    assignment is dropped. Each term p_alpha d^alpha adds p_alpha times the
+    derivative rows of alpha into the column images, which are the
     numerators of the matrix over d.
     """
     ring = op.ring
     if ring != pi.ring:
         raise ValueError("operator and basis rings differ")
-    numeric = _substituted(op, pi, assignment)
-    d = math.lcm(*(c.denominator for p in numeric.terms.values() for c in p.terms.values()))
+    values = {name: _as_rat(v) for name, v in assignment.items()}
+    for name in values:
+        if ring.index_of(name) < ring.num_vars:
+            raise ValueError(f"cannot substitute variable {name!r} in an operator")
+    if "k" not in values:
+        raise ValueError("assignment must fix k")
+    kval = values["k"]
+    if kval.denominator != 1 or kval < 0 or int(kval) != pi.degree:
+        raise ValueError(f"k must equal the basis degree bound {pi.degree}, got {kval}")
+    missing = [f"nu{i}" for i in range(1, ring.num_nu + 1) if f"nu{i}" not in values]
+    if missing:
+        raise ValueError(f"assignment missing parameters: {', '.join(missing)}")
+    mask, value = ring.valuation(values)
+    valued = {part: value(part) for part in {m & mask for p in op.terms.values() for m in p.terms}}
+    d_v = math.lcm(*(v.denominator for v, _ in valued.values()))
+    scaled = {part: (v.numerator * (d_v // v.denominator), drop) for part, (v, drop) in valued.items()}
+    d_c = math.lcm(*(c.denominator for p in op.terms.values() for c in p.terms.values()))
     shift = ring.degree_shift
     images = [{} for _ in range(pi.size)]
     failing = {}  # column -> (lead, m) of its first product past MAX_DEGREE
-    for alpha, p in numeric.terms.items():
-        terms = [(m, c.numerator * (d // c.denominator)) for m, c in p.terms.items()]
+    for alpha, p in op.terms.items():
+        terms = {}
+        for m, c in p.terms.items():
+            v, drop = scaled[m & mask]
+            key = m - drop
+            terms[key] = terms.get(key, 0) + c.numerator * (d_c // c.denominator) * v
+        terms = [(mu, c) for mu, c in terms.items() if c]
+        if not terms:
+            continue
         rows = _derivative_rows(ring, pi, alpha)
-        lead = max(p.terms)
+        lead = max(terms)[0]
         if (lead >> shift) + pi.degree > MAX_DEGREE:
             for m, _, col in rows:
                 if (lead >> shift) + (m >> shift) > MAX_DEGREE:
@@ -329,4 +338,4 @@ def to_matrix(op: WeylOp, pi: PiBasis, assignment: Mapping[str, object]) -> OpMa
                     f"degree {sum(exps[:ring.num_vars])} term {exps}, bound is {pi.degree}"
                 )
             entries[(row, col)] = coeff
-    return OpMatrix._of(pi.size, entries, d)
+    return OpMatrix._of(pi.size, entries, d_c * d_v)

@@ -87,8 +87,11 @@ def test_arithmetic_matches_tuple_reference(a, b, order):
 @settings(max_examples=200, deadline=None)
 @given(tables, rationals, rationals)
 def test_subs_matches_tuple_reference(a, x, y):
+    # zero values drop the terms they multiply; assigning every symbol
+    # leaves a constant
     p = Poly(RING, a)
-    for values in ({2: x}, {3: x, 4: y}, {0: x, 3: y}):
+    every = dict(enumerate((y, x, x, y, 0)))
+    for values in ({2: x}, {3: x, 4: y}, {0: x, 3: y}, {2: 0}, {1: 0, 4: x}, every):
         named = {RING.names[pos]: v for pos, v in values.items()}
         assert ref(p.subs(named)) == ref_subs(clean(a), values)
 

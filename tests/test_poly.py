@@ -8,6 +8,7 @@ import pytest
 
 from helpers import diff, random_poly, total_degree, u_degree
 from weylracah import ContextMismatchError, Rat, Ring
+from weylracah.poly import _as_rat
 
 
 @pytest.fixture
@@ -115,6 +116,19 @@ def test_subs_unknown_key(ring):
 def test_subs_accepts_fractions_and_strings(ring):
     p = ring.nu(1) * ring.u(1)
     assert p.subs({"nu1": Fraction(1, 2)}) == p.subs({"nu1": "1/2"})
+
+
+def test_as_rat_keeps_fractions_and_rejects_floats():
+    # a Fraction is returned as it is, or as its int when integral; ints and
+    # "p/q" strings are read exactly, and a float is refused
+    half = Fraction(1, 2)
+    assert _as_rat(half) is half
+    for value, want in ((Fraction(6, 3), 2), ("4/2", 2), (-7, -7)):
+        assert _as_rat(value) == want and type(_as_rat(value)) is int
+    assert _as_rat("-3/4") == Fraction(-3, 4)
+    for value in (0.5, 2.0):
+        with pytest.raises(TypeError, match="floats are not exact"):
+            _as_rat(value)
 
 
 def test_context_mismatch(ring):

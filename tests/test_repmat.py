@@ -128,8 +128,8 @@ def test_assignment_validation():
 
 
 def test_assignment_name_errors_win_over_k_and_nu():
-    # the names are looked up once, when the operator is substituted, and
-    # that comes before the k and nu checks
+    # each name is looked up, unknown names and u variables failing in
+    # assignment order, before the k and nu checks
     rc = RacahContext(4)
     pi = basis(rc.ring, 2)
     no_k = fixed_assignment(4, 2)
@@ -555,14 +555,34 @@ def test_euler_leaf_and_assemblies_agree_across_backends():
 
 
 def dense_reference(op, pi, values):
-    """The matrix of op as dense Fraction rows, column j built from `apply`
-    on basis monomial j."""
-    numeric = op.subs(values)
-    position = {mono: row for row, mono in enumerate(pi.monomials)}
+    """The matrix of op as dense Fraction rows, from exponent tuples alone:
+    a term c u^a k^e0 nu^e d^alpha, valued at the assignment, takes basis
+    monomial u^b to c k^e0 nu^e prod_i b_i!/(b_i - alpha_i)! u^(a + b - alpha).
+    It reads the packed layout through `Ring.unpack` only, and shares no code
+    with the substitution, `apply` or the derivative rows. Images outside
+    the basis must cancel."""
+    ring = pi.ring
+    nv = ring.num_vars
+    point = [Fraction(values[name]) for name in ring.names[nv:]]
+    images = {}
+    for alpha, p in op.terms.items():
+        for m, c in p.terms.items():
+            exps = ring.unpack(m)
+            c = Fraction(c)
+            for x, e in zip(point, exps[nv:]):
+                c *= x**e
+            for col, b in enumerate(pi.monomials):
+                if c and all(bi >= ai for bi, ai in zip(b, alpha)):
+                    w = math.prod(math.perm(bi, ai) for bi, ai in zip(b, alpha))
+                    key = (tuple(a + bi - ai for a, bi, ai in zip(exps, b, alpha)), col)
+                    images[key] = images.get(key, 0) + c * w
+    position = {mono[:nv]: row for row, mono in enumerate(pi.monomials)}
     rows = [[Fraction(0)] * pi.size for _ in range(pi.size)]
-    for col in range(pi.size):
-        for m, c in numeric.apply(monomial_poly(pi, col)).terms.items():
-            rows[position[pi.ring.unpack(m)]][col] += Fraction(c)
+    for (mono, col), c in images.items():
+        if mono in position:
+            rows[position[mono]][col] = c
+        else:
+            assert c == 0, (mono, col)
     return rows
 
 
@@ -634,6 +654,66 @@ def test_to_matrix_matches_dense_fraction_reference():
             mat = to_matrix(op, pi, values)
             assert mat.rows == dense_reference(op, pi, values)
             assert int_exactly_when_integral(mat)
+
+
+def test_to_matrix_at_zero_and_negative_nu():
+    # a zero value drops every term it multiplies, and a negative one flips
+    # the sign of its odd powers; both against the tuple reference
+    rc = RacahContext(4)
+    pi = basis(rc.ring, 2)
+    rng = random.Random(31)
+    ops = [rc.c_set(A) for A in nonempty_subsets(4)]
+    ops += [random_invariant_op(rng, rc.dm) for _ in range(6)]
+    for nus in ((0, Rat(-3, 2), Rat(5, 4), -2), (Rat(-1, 3), 0, 0, Rat(-7, 5)), (0, 0, 0, 0)):
+        values = {"k": 2, **{f"nu{i}": v for i, v in enumerate(nus, 1)}}
+        for op in ops:
+            mat = to_matrix(op, pi, values)
+            assert mat.rows == dense_reference(op, pi, values)
+            assert canonical(mat) and int_exactly_when_integral(mat)
+
+
+def test_to_matrix_of_fraction_coefficients():
+    # the operator's own denominators and the values' denominators meet in
+    # one common denominator, which the matrix reduces away where it can
+    rc = RacahContext(4)
+    pi = basis(rc.ring, 2)
+    values = {"k": 2, "nu1": Rat(3, 2), "nu2": Rat(-4, 3), "nu3": Rat(7, 5), "nu4": Rat(5, 6)}
+    pair, t = rc.c_pair(1, 2), rc.dm.t_op(1, 2)
+    op = Rat(1, 3) * pair + Rat(2, 7) * t
+    mat = to_matrix(op, pi, values)
+    assert mat.rows == dense_reference(op, pi, values)
+    assert mat == Rat(1, 3) * to_matrix(pair, pi, values) + Rat(2, 7) * to_matrix(t, pi, values)
+    assert canonical(mat) and mat.d % 21 == 0
+    scaled = to_matrix(Rat(6, 5) * WeylOp.from_poly(rc.ring.nu(4) * rc.ring.nu(1)), pi, values)
+    assert scaled == OpMatrix.scalar(pi.size, Rat(3, 2)) and scaled.d == 2
+
+
+def test_to_matrix_drops_a_coefficient_that_cancels():
+    # (nu1 - 1/2) u1^(k + 1) leaks past the bound, and (nu1 - 1/2) u1^(MAX
+    # - 1) takes every column of degree >= 2 past MAX_DEGREE; at nu1 = 1/2
+    # both coefficients are zero and are dropped before either check, so the
+    # matrices are zero, without LeakageError or MonomialOverflowError; at
+    # nu1 = 1/3 each leaks from its first column
+    rc = RacahContext(4)
+    ring = rc.ring
+    k = 2
+    pi = basis(ring, k)
+    cancels = ring.nu(1) - Rat(1, 2)
+    leak = WeylOp.from_poly(cancels * ring.u(1) ** (k + 1))
+    overflow = WeylOp.from_poly(cancels * ring.u(1) ** (MAX_DEGREE - 1))
+    values = {**fixed_assignment(4, k), "nu1": Rat(1, 2)}
+    for op in (leak, overflow, leak + overflow, rc.c_pair(1, 2) + leak):
+        mat = to_matrix(op, pi, values)
+        assert mat.rows == dense_reference(op, pi, values)
+    assert to_matrix(leak + overflow, pi, values) == OpMatrix.scalar(pi.size, 0)
+    assert to_matrix(rc.c_pair(1, 2) + leak, pi, values) == to_matrix(rc.c_pair(1, 2), pi, values)
+    values["nu1"] = Rat(1, 3)
+    for op, degree in ((leak, k + 1), (overflow, MAX_DEGREE - 1)):
+        with pytest.raises(LeakageError) as raised:
+            to_matrix(op, pi, values)
+        assert str(raised.value).startswith(
+            f"image of basis monomial {pi.monomials[0]} contains degree {degree} "
+        )
 
 
 def test_leakage_error_text():

@@ -54,6 +54,7 @@ def test_oracle_unit_work_counts(monkeypatch):
     spec.loader.exec_module(workloads)
     import weylracah
     from weylracah import repmat
+    from weylracah.poly import Poly
     from weylracah.repmat import OpMatrix, to_matrix
     from weylracah.weyl import WeylOp
 
@@ -76,6 +77,8 @@ def test_oracle_unit_work_counts(monkeypatch):
     monkeypatch.setattr(WeylOp, "apply", counted("apply", WeylOp.apply))
     monkeypatch.setattr(repmat, "_kernel", counted("kernel", repmat._kernel))
     monkeypatch.setattr(OpMatrix, "__add__", counted("add", OpMatrix.__add__))
+    monkeypatch.setattr(Poly, "subs", counted("poly_subs", Poly.subs))
+    monkeypatch.setattr(WeylOp, "subs", counted("weyl_subs", WeylOp.subs))
     contexts = []
     init = weylracah.racah.RacahContext.__init__
 
@@ -99,11 +102,14 @@ def test_oracle_unit_work_counts(monkeypatch):
     # kernel runs 301 - 31 - 165 + 117 = 222 times: 301 commutators less the
     # 31 of a subset with itself and the 165 more with a scalar operand (the
     # five singletons and C_{1..5}), plus the 117 products; each distinct
-    # sum of the 41 trees is formed once in the shared cache, by 162 additions
+    # sum of the 41 trees is formed once in the shared cache, by 162 additions;
+    # to_matrix values the operators' coefficients without substituting them,
+    # so the only substitutions are the 30 of the trees' scalar leaves
     assert counts == {
         "to_matrix": 56, "matmul": 117, "nnz_in": 9505, "commutator": 301, "apply": 10,
-        "kernel": 222, "add": 162,
+        "kernel": 222, "add": 162, "poly_subs": 30,
     }
+    assert counts["weyl_subs"] == 0
     # each of the 10 embedded pair trees is built once, in the unit's context
     unit_ctx = contexts[-1]
     assert len(unit_ctx.embedded_pairs) == 10 and len(unit_ctx.ring._rows) == 10
