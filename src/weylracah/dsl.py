@@ -32,11 +32,12 @@ __all__ = ["ParseError", "parse", "elaborate", "commutator"]
 MAX_EXPONENT = 64
 # Deepest nesting of '(' and unary '-'; the parser and `elaborate` recurse per level.
 MAX_DEPTH = 64
-# Most work that the products of one `elaborate` call, or of one `commute`
-# request with its commutator, may do together, in the units that the products
-# charge through `weyl.CHARGE`: one per coefficient term pair, one per term of
-# each derivative of a right operand's coefficient, and `weyl.GAMMA_WORK` per
-# (gamma, beta) that the Leibniz kernel visits. A unit takes about 0.2-0.9 us
+# Most work that the products and sums of one `elaborate` call, or of one
+# `commute` request with its commutator, may do together, in the units that
+# they charge through `weyl.CHARGE`: one per coefficient term pair, one per term
+# of each derivative of a right operand's coefficient, `weyl.GAMMA_WORK` per
+# (gamma, beta) that the Leibniz kernel visits, and one per coefficient term of
+# each part of a sum. A unit takes about 0.2-0.9 us
 # with integer coefficients and about 3 us with Fraction ones, on a 2-vCPU VM
 # under CPython 3.11.
 MAX_PRODUCT_WORK = 2_000_000
@@ -315,6 +316,13 @@ class _Budget:
         CHARGE.reset(self.token)
 
 
+def _charged(op: WeylOp) -> WeylOp:
+    """op, its coefficient terms charged to the request's budget: what adding
+    it into a sum costs, so a long sum of cached atoms is refused in time."""
+    CHARGE.get()(sum(len(p.terms) for p in op.terms.values()))
+    return op
+
+
 def _value(node, ctx: RacahContext) -> WeylOp:
     if isinstance(node, Num):
         return WeylOp.scalar(ctx.ring, node.value)
@@ -326,7 +334,7 @@ def _value(node, ctx: RacahContext) -> WeylOp:
         base = _value(node.base, ctx)
         return reduce(operator.mul, [base] * node.exponent, WeylOp.identity(ctx.ring))
     if isinstance(node, Sum):
-        return reduce(operator.add, [_value(part, ctx) for part in node.parts])
+        return reduce(operator.add, (_charged(_value(part, ctx)) for part in node.parts))
     if isinstance(node, Prod):
         return reduce(operator.mul, [_value(part, ctx) for part in node.parts])
     raise TypeError(f"not an AST node: {node!r}")

@@ -58,6 +58,20 @@ def _normal(ring: Ring, out: dict) -> "WeylOp":
     return WeylOp(ring, terms, _trusted=True)
 
 
+def _compose_into(out: dict, p: Mapping, op: "WeylOp") -> None:
+    """Add p op into out, an {exponent: {monomial: coefficient}} map for
+    `_normal`, for p a multiplication operator given by its raw coefficient
+    map: coefficient-wise, p q_beta d^beta, as no Leibniz term has gamma > 0.
+    Each coefficient product is degree-checked as p * q_beta would be and,
+    under a CHARGE, charged before it is formed."""
+    ring, lead, charge = op.ring, max(p), CHARGE.get()
+    for beta, q in op.terms.items():
+        ring.check_product(lead, max(q.terms))
+        if charge is not None:
+            charge(len(p) * len(q.terms))
+        _add_products(out.setdefault(beta, {}), p, q.terms, 1)
+
+
 def _power_product(images: list, exps: tuple) -> dict:
     """prod_i images[i]^exps[i] over raw {packed monomial: coefficient} maps."""
     acc = {0: 1}
@@ -149,13 +163,8 @@ class WeylOp(SparseSum):
             return NotImplemented
         if len(self.terms) != 1 or any(next(iter(self.terms))):
             return self._leibniz(other, 0)
-        (p,) = self.terms.values()
-        lead, out, charge = max(p.terms), {}, CHARGE.get()
-        for beta, q in other.terms.items():
-            self.ring.check_product(lead, max(q.terms))
-            if charge is not None:
-                charge(len(p.terms) * len(q.terms))
-            _add_products(out.setdefault(beta, {}), p.terms, q.terms, 1)
+        out = {}
+        _compose_into(out, next(iter(self.terms.values())).terms, other)
         return _normal(self.ring, out)
 
     def _leibniz(self, other: "WeylOp", start: int) -> "WeylOp":

@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import charged, random_weyl
 from weylracah import dsl, weyl
@@ -288,14 +288,15 @@ def test_kernel_charges_each_step():
 def test_work_limit(monkeypatch, capsys):
     rc5 = RacahContext(5)
     base = "(u1+u2+u3+d1+d2+d3)"
-    # the factors of base^4, from the identity, cost 6, 287, 968 and 2460
-    # units, 3721 together; the fifth, which costs 5202, is refused part way
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 3721)
+    # base's six parts cost one unit each, the terms they add, and the
+    # factors of base^4, from the identity, 6, 287, 968 and 2460 units: 3727
+    # together; the fifth factor, which costs 5202, is refused part way
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 3727)
     assert run(base + "^4", rc5) == run(base, rc5) ** 4
     with pytest.raises(ParseError) as info:
         run(base + "^5", rc5)
     assert info.value.position is None
-    assert str(info.value) == "an expression of 3753 units of work exceeds the limit 3721"
+    assert str(info.value) == "an expression of 3759 units of work exceeds the limit 3727"
     # one budget for the whole expression: each power alone fits, not the sum
     for text in (
         base + "^3 " + base + "^2",
@@ -304,9 +305,9 @@ def test_work_limit(monkeypatch, capsys):
         base + "^4 + " + base + "^4",
         base + "^2 - " + base + "^4",
     ):
-        with pytest.raises(ParseError, match="exceeds the limit 3721"):
+        with pytest.raises(ParseError, match="exceeds the limit 3727"):
             run(text, rc5)
-    # atoms are built inside the budget too: C[1,2] alone costs 312 units
+    # atoms are built inside the budget too: C[1,2] alone costs 308 units
     monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 100)
     assert run_cli(["commute", "--n", "5", "--lhs", "C[1,2]", "--rhs", base + "^3"]) == 2
     assert "exceeds the limit 100" in capsys.readouterr().err
@@ -315,24 +316,31 @@ def test_work_limit(monkeypatch, capsys):
 
 
 def test_commute_work_limit(monkeypatch, capsys):
-    # C[1,2] costs 312 units, the right side 293 and the commutator 3708, all
-    # from the request's one budget: the whole fits a limit of 4313, and one
-    # unit less refuses the commutator at its last step
+    # C[1,2] costs 308 units: 3 for the Euler operator's products u_l d_l, 272
+    # for the kernel product A B, and its four parts one per coefficient term
+    # pair: -f^2 (A B) 19 (f = 1, A B has 19 terms), (2 nu_2 f) P 4 (P = -E),
+    # (2 nu_1 f) Q 5 (Q = d_1 - E) and s (s - 1) 5. The right side costs 299:
+    # 6 for the six parts of its sum and 293 for its products. The commutator
+    # costs 3708, all from the request's one budget: the whole fits a limit of
+    # 4315, and one unit less refuses the commutator at its last step
     argv = ["commute", "--n", "5", "--lhs", "C[1,2]", "--rhs", "(u1+u2+u3+d1+d2+d3)^2"]
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 4313)
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 4315)
     assert run_cli(argv) == 0
     assert capsys.readouterr().out.strip()
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 4312)
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 4314)
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: a commute request of 4313 units of work exceeds the limit 4312\n"
+    assert captured.err == "error: a commute request of 4315 units of work exceeds the limit 4314\n"
 
 
 def test_commute_sides_share_the_budget(monkeypatch, capsys):
-    # the left side costs 87 units, the right 127, and the commutator of two
-    # u-free operators none: either side fits the limit, the two together do
-    # not, refused in a product of the right side
+    # the left side costs 90 units (3 for its sum's parts, 87 for its
+    # products), the right 141 (its products 40 and 87, the parts of the sums
+    # d1 - d2 and d1 + d2 + d3, 2 and 3, and the 3 and 6 terms of its two
+    # squares, the parts of its outer sum) and the commutator of two u-free
+    # operators none: either side fits the limit, the two together do not,
+    # refused in a product of the right side
     argv = ["commute", "--n", "5", "--lhs", "(d1+d2+d3)^2", "--rhs", "(d1-d2)^2 + (d1+d2+d3)^2"]
     monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 200)
     for side in argv[4], argv[6]:
@@ -341,48 +349,69 @@ def test_commute_sides_share_the_budget(monkeypatch, capsys):
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: a commute request of 211 units of work exceeds the limit 200\n"
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 214)
+    assert captured.err == "error: a commute request of 222 units of work exceeds the limit 200\n"
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 231)
     assert run_cli(argv) == 0
     assert capsys.readouterr().out == "0\n"
 
 
 def test_commute_work_skips_cancelling_terms(monkeypatch, capsys):
-    # the commutator forms no gamma = 0 Leibniz terms, so two u-free
-    # operators cost nothing, whatever the limit
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 0)
+    # the commutator forms no gamma = 0 Leibniz terms, so that of two u-free
+    # operators costs nothing: the request costs only the terms of its sums'
+    # parts, 3 on the left and 4 on the right (C[3] = nu3^2 - nu3 has 2)
     argv = ["commute", "--n", "5", "--lhs", "d1+d2+d3", "--rhs", "d2 + C[3] - k"]
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 7)
     assert run_cli(argv) == 0
     assert capsys.readouterr().out == "0\n"
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 6)
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == ("error: a commute request of 7 units of work exceeds the"
+                                       " limit 6\n")
 
 
 def test_u_free_products_skip_the_expansion_cache(monkeypatch, capsys):
     # a product of u-free operators has gamma = 0 as its one expansion, taken
     # without the expansion cache; the work charged, and so where the
-    # request is refused, stays the same
+    # request is refused, stays the same: 3 for each side's sum of three
+    # parts and 309939 for each side's power
     argv = ["commute", "--n", "5", "--lhs", "(d1+d2+d3)^40", "--rhs", "(d1+d2+d3)^40"]
     weyl._lower_exponents.cache_clear()
     assert run_cli(argv) == 0
     assert capsys.readouterr().out == "0\n"
     assert weyl._lower_exponents.cache_info().misses == 0
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 619877)
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 619883)
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: a commute request of 619878 units of work exceeds the limit"
-                            " 619877\n")
-    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 619878)
+    assert captured.err == ("error: a commute request of 619884 units of work exceeds the limit"
+                            " 619883\n")
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", 619884)
     assert run_cli(argv) == 0
     assert capsys.readouterr().out == "0\n"
 
 
 def test_refusal_leaves_the_context_sound(monkeypatch):
-    # a refusal part way through an atom's build or a product leaves the
-    # context's pair Casimirs, derivative tables and tree values as sound as
-    # a fresh context's: the three parts cost 540, 23 and 3189 units
+    # a refusal part way through an atom's build, a product or a sum leaves
+    # the context's pair Casimirs, shape pieces, derivative tables and tree
+    # values as sound as a fresh context's. The whole costs 4449 units, in
+    # this order:
+    # - C[{1,2,3}], 641: its pairs (1,2) 308 (as in test_commute_work_limit:
+    #   the Euler operator 3, A B 272, then its assembly's parts 19, 4, 5 and
+    #   5, so past 275, 294, 298 and 303), (1,3) 123 and (2,3) 100 (the Euler
+    #   operator is formed once, and (2,3) reads the derivative table of
+    #   step(3) that (1,3) formed), then the subset sum 110 from 531, one unit
+    #   per coefficient term of C_12, C_13 and C_23 (33, 47 and 24, so past
+    #   564, 611 and 635) and of the three singletons (2 each);
+    # - the outer sum's parts, each charged its terms as it is added: 40 for
+    #   C[{1,2,3}] (to 681), L1[4] 23 and then its 6 (to 710), C[1,2] C[2,3]
+    #   3189 and then its 550 (to 4449).
+    # 280, 300 and 306 land in the lead, Q and s (s - 1) parts of C_12's
+    # assembly; 545, 600, 630 and 638 in the subset sum (C_12's, C_13's and
+    # C_23's terms, the singletons); 660, 705 and 4448 in the outer sum
     parts = ["C[{1,2,3}]", "L1[4]", "C[1,2] C[2,3]"]
     fresh = [print_canonical(run(text, RacahContext(5))) for text in parts]
-    for limit in (0, 100, 300, 545, 600, 1000, 2000, 3000, 3751):
+    for limit in (0, 100, 280, 300, 306, 545, 600, 630, 638, 660, 705, 1000, 2000, 3000, 3751,
+                  4448):
         shared = RacahContext(5)
         with monkeypatch.context() as patch:
             patch.setattr(dsl, "MAX_PRODUCT_WORK", limit)
@@ -457,6 +486,22 @@ def test_large_requests_end_within_one_budget(capsys, monkeypatch):
     )
 
 
+def test_long_sums_are_charged(monkeypatch, capsys):
+    # C[1,12] costs 1040 units to build and has 929 coefficient terms. Each
+    # part of a sum is charged its terms as it is added, so the 3001-part sum
+    # of the cached atom is refused at its 2152nd part, after 1040 + 2152 *
+    # 929 = 2000248 units, and at a twentieth of the budget at its 107th,
+    # after 100443; with sums uncharged it added all 3001 parts
+    argv = ["normalize", "--n", "12", "--expr", " - ".join(["C[1,12]"] * 3001)]
+    for limit, spent in ((dsl.MAX_PRODUCT_WORK, 2000248), (dsl.MAX_PRODUCT_WORK // 20, 100443)):
+        monkeypatch.setattr(dsl, "MAX_PRODUCT_WORK", limit)
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: an expression of {spent} units of work exceeds the"
+                                f" limit {limit}\n")
+
+
 @st.composite
 def requests(draw):
     """A normalize or commute request over the grammar at n <= 12: symbols,
@@ -495,6 +540,8 @@ def requests(draw):
 
 @settings(max_examples=20, deadline=None)
 @given(requests())
+# a long sum of one cached atom (see test_long_sums_are_charged)
+@example(["normalize", "--n", "12", "--expr", " - ".join(["C[1,12]"] * 3001)])
 def test_requests_answer_or_refuse(argv):
     # a twentieth of the budget keeps the test short; the bound is generous
     # against the at most 0.3 s that one refused request takes

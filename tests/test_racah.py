@@ -2,12 +2,15 @@
 
 import random
 import re
+from functools import reduce
 from itertools import combinations
+from operator import add
 
 import pytest
 
 from helpers import kernel_c_pair, random_invariant_op
-from weylracah import RacahContext, WeylOp, check_racah_structure
+from weylracah import RacahContext, WeylOp, check_racah_structure, embedded_c_set, racah, weyl
+from weylracah.sln import nonempty_subsets
 
 
 def test_c_single_value():
@@ -202,6 +205,67 @@ def test_c_set_triple():
         - (rc.c_single(1) + rc.c_single(2) + rc.c_single(3))
     )
     assert rc.c_set([1, 2, 3]) == expected
+
+
+def reference_c_set(ctx: RacahContext, a: tuple) -> WeylOp:
+    """The subset rule as operator sums: pairs, minus |a| - 2 times the singletons."""
+    if len(a) < 3:
+        return ctx.c_single(*a) if len(a) == 1 else ctx.c_pair(*a)
+    pairs = reduce(add, (ctx.c_pair(i, j) for i, j in combinations(a, 2)))
+    return pairs - (len(a) - 2) * reduce(add, map(ctx.c_single, a))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_c_set_matches_the_rule_as_sums(n):
+    # the one-pass subset sum against the rule added up operator by operator
+    # on a separate context, for every subset; at n <= 5 against the
+    # embedded subset Casimir too, which reads the same rule with + and *
+    rc, ref = RacahContext(n), RacahContext(n)
+    for a in nonempty_subsets(n):
+        op = rc.c_set(a)
+        assert op == reference_c_set(ref, a), a
+        if n <= 5:
+            assert op == embedded_c_set(rc, a).op, a
+
+
+def test_c_set_closes_each_operator_once(monkeypatch):
+    # C_{1..5} on a fresh context: 10 kernel products A B, and 24 maps closed
+    # by weyl._normal: the 10 products A B, the 3 products u_l d_l of the
+    # Euler operator, one per pair for its four parts and one for the subset
+    # sum (53 when each pair's parts and the subset's pairs were added as
+    # operators)
+    calls = {"leibniz": 0, "normal": 0}
+    leibniz, normal = WeylOp._leibniz, weyl._normal
+
+    def counted(self, other, start):
+        calls["leibniz"] += 1
+        return leibniz(self, other, start)
+
+    def closed(ring, out):
+        calls["normal"] += 1
+        return normal(ring, out)
+
+    monkeypatch.setattr(WeylOp, "_leibniz", counted)
+    for module in (weyl, racah):  # racah closes the maps it assembles itself
+        monkeypatch.setattr(module, "_normal", closed)
+    full = RacahContext(5).c_set(range(1, 6))
+    assert calls == {"leibniz": 10, "normal": 24}
+    assert sum(len(p.terms) for p in full.terms.values()) == 27
+
+
+def test_shape_pieces_are_formed_once():
+    # each step, the Euler rows and each nu_casimir are kept per context: at
+    # n = 6 every subset Casimir reads step(3..6), the Euler rows and the
+    # nu_casimir of the 6 singletons and 15 pairs, 26 pieces
+    rc = RacahContext(6)
+    for a in nonempty_subsets(6):
+        rc.c_set(a)
+    assert len(rc._pieces) == 4 + 1 + 6 + 15
+    assert rc.step(4) is rc.step(4) and rc.nu_casimir(2, 5) is rc.nu_casimir(2, 5)
+    # the leading term is formed when first asked for, then kept
+    assert rc._pairs[(1, 4)][0] is None
+    lead = rc.c_pair_lead(4, 1)
+    assert rc.c_pair_lead(1, 4) is lead and rc._pairs[(1, 4)][0] is lead
 
 
 def test_c_set_empty():

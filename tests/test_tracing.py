@@ -122,8 +122,15 @@ def test_small_checks_unit_work_counts(monkeypatch):
     # Euler leaves only, per call) the unit formed 1353 WeylOp products and
     # 2527 WeylOp additions. Each passing check of an operator prints it
     # once, 1773 print_canonical calls; printing both sides took 3546. Each
-    # of the 21 pair Casimirs takes one product fewer, f (2 nu_hi P + 2 nu_lo
-    # Q) in place of f P and f Q: 874 WeylOp products, 895 before
+    # of the 21 pair Casimirs takes one WeylOp product, A B: its parts are
+    # composed into one map, and c_pair_lead forms -f^2 (A B) the same way.
+    # That is 790 WeylOp products; 874 when each pair also formed -f^2 (A B),
+    # 2 nu_hi P, 2 nu_lo Q and f (2 nu_hi P + 2 nu_lo Q) as products, and 895
+    # with f P and f Q apart. The pair shapes' steps and Euler rows are formed
+    # once: the five Euler rows take 5 additions and step(3..7) 5, and the
+    # pairs' sums none, 1198 WeylOp additions; 1323 when each pair formed its
+    # rows and steps (52 additions), the embedding's rewrite steps formed
+    # step(j) four times for each j (20) and each pair added its parts (63)
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -162,7 +169,7 @@ def test_small_checks_unit_work_counts(monkeypatch):
     small = workloads.SmallChecks()
     ops = small.unit(weylracah, {"check_probes": {}}, 0)
     assert len(ops) == small.expected == 1794 and all(op.ok for op in ops)
-    assert counts == Counter(mul=874, add=1323, print=1773)
+    assert counts == Counter(mul=790, add=1198, print=1773)
     assert len(contexts[-1].dm._values) == 672
 
 
@@ -238,9 +245,13 @@ def test_perturbed_racah_work_counts(monkeypatch):
     # comparison and leaves its third entry unbuilt, which the pair sum
     # builds: 45 commutators, one per table entry (48 while a triple's other
     # two commutators were not kept in the table). Every WeylOp addition of
-    # the run is counted, those of the pair sums, of building the pair
-    # Casimirs and the 9 of the derivative images of to_prefix and
-    # from_prefix (255 before those maps)
+    # the run is counted: 204 in the pair sums, 6 for the derivative images
+    # of to_prefix, and 2 for step(4) and step(5), each formed once as a shape
+    # piece and read again by from_prefix (C_13, built before the count,
+    # formed the Euler rows and step(3)). A pair Casimir's parts are composed
+    # into one map, with no addition: 212 in all. It was 264 when each of the
+    # nine pairs formed its own rows and steps and added its parts (51) and
+    # from_prefix formed step(3..5) again (3), and 255 before those maps
     from helpers import perturbed_context
     from weylracah.racah import check_racah_structure
     from weylracah.weyl import WeylOp
@@ -262,7 +273,7 @@ def test_perturbed_racah_work_counts(monkeypatch):
     report = check_racah_structure(ctx)
     assert len(report.checks) == 301
     assert sum(not c.equal for c in report.checks) == 67
-    assert counts == Counter(commutator=45, add=264)
+    assert counts == Counter(commutator=45, add=212)
 
 
 def test_pair_and_query_kernel_calls(monkeypatch, capsys):
@@ -270,30 +281,41 @@ def test_pair_and_query_kernel_calls(monkeypatch, capsys):
     # Casimir takes one Leibniz product, A B: the 10 pair Casimirs at n = 5
     # make 10 _leibniz calls, and the 126 requests of queries.json through
     # run_cli make 215. With every product through the kernel they made 63
-    # and 1709
+    # and 1709. Each operator formed closes its map once, in weyl._normal:
+    # the pairs make 23 closes, 10 for A B, 3 for the Euler operator's
+    # products u_l d_l and one per pair for its four parts composed into one
+    # map (53 when the parts were formed and added as operators), and the
+    # requests 1010 (1555 then)
     import json
 
+    from weylracah import racah, weyl
     from weylracah.cli import run_cli
     from weylracah.racah import RacahContext
     from weylracah.weyl import WeylOp
 
-    calls = [0]
-    leibniz = WeylOp._leibniz
+    calls = Counter()
+    leibniz, normal = WeylOp._leibniz, weyl._normal
 
     def counted(self, other, start):
-        calls[0] += 1
+        calls["leibniz"] += 1
         return leibniz(self, other, start)
 
+    def closed(ring, out):
+        calls["normal"] += 1
+        return normal(ring, out)
+
     monkeypatch.setattr(WeylOp, "_leibniz", counted)
+    for module in (weyl, racah):  # racah closes the maps it assembles itself
+        monkeypatch.setattr(module, "_normal", closed)
     ctx = RacahContext(5)
     for lo in range(1, 6):
         for hi in range(lo + 1, 6):
             ctx.c_pair(lo, hi)
-    assert calls == [10]
-    calls[0] = 0
+    assert calls == Counter(leibniz=10, normal=23)
+    calls.clear()
     requests = json.loads((ROOT / "perfbench" / "queries.json").read_text(encoding="utf-8"))
     assert len(requests) == 126
     for request in requests:
         assert run_cli(request["argv"]) == 0
     capsys.readouterr()
-    assert calls == [215]
+    assert calls == Counter(leibniz=215, normal=1010)
