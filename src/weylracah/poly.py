@@ -92,12 +92,13 @@ class Ring:
     substitutes values for symbols. Rings with equal shape are
     interchangeable. `texts` caches the printed factors of packed monomials
     (int keys) and of derivative exponents (tuple keys), `_plans` the plans
-    of `Poly.diff_multi`, and `_rows` the derivative rows on a bounded-degree
-    basis that `repmat.to_matrix` reads.
+    of `Poly.diff_multi`, `_rows` the derivative rows on a bounded-degree
+    basis that `repmat.to_matrix` reads, and `_valuation` the last
+    valuation built, with the resolved assignment it was built for.
     """
 
     __slots__ = ("num_vars", "num_nu", "names", "_index", "shifts", "degree_shift", "u_mask",
-                 "texts", "_plans", "_rows")
+                 "texts", "_plans", "_rows", "_valuation")
 
     def __init__(self, num_vars: int, num_nu: int = 0):
         if num_vars < 0 or num_nu < 0:
@@ -117,6 +118,7 @@ class Ring:
         self.texts: dict[int | tuple, str] = {}
         self._plans: dict[tuple, tuple] = {}
         self._rows: dict[tuple, list] = {}
+        self._valuation: tuple | None = None
 
     def __eq__(self, other):
         return (
@@ -162,10 +164,15 @@ class Ring:
         monomial m, and value(m & mask) is (v, drop), where v is the product
         of their values' powers and m - drop is m without them, its degree
         lowered to match. Each distinct part is valued once per valuation,
-        as an int numerator and denominator reduced once at the end."""
-        steps = [(self.shifts[self.index_of(name)], _as_rat(v)) for name, v in values.items()]
+        as an int numerator and denominator reduced once at the end. The
+        ring keeps its last valuation, keyed by the assignment's resolved
+        fields and converted values, so calls with the same assignment share
+        one memo; names and values are checked on every call."""
+        steps = tuple((self.shifts[self.index_of(name)], _as_rat(v)) for name, v in values.items())
+        if self._valuation is not None and self._valuation[0] == steps:
+            return self._valuation[1]
         mask = sum(MAX_DEGREE << shift for shift, _ in steps)
-        memo = {}
+        memo, degree_shift = {}, self.degree_shift  # the kept closure must not hold the ring
 
         def value(part: int) -> tuple:
             got = memo.get(part)
@@ -177,9 +184,10 @@ class Ring:
                         den *= x.denominator**e
                         degree += e
                 v = num if den == 1 else _integral(Rat(num, den))
-                got = memo[part] = (v, part + (degree << self.degree_shift))
+                got = memo[part] = (v, part + (degree << degree_shift))
             return got
 
+        self._valuation = (steps, (mask, value))
         return mask, value
 
     def u_degrees(self, polys: Iterable[Poly]) -> tuple:

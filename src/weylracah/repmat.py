@@ -88,10 +88,13 @@ def _kernel(x: "OpMatrix", y: "OpMatrix", commute: bool) -> "OpMatrix":
     if commute:
         w = -(-w // 64) * 64
     totals = [0] * size
-    for left, right, sign in ((x, y, 1), (y, x, -1)) if commute else ((x, y, 1),):
-        packed = right._packed_rows(w)
-        for (i, p), v in left.num.items():
-            totals[i] += sign * v * packed[p]
+    packed = y._packed_rows(w)
+    for (i, p), v in x.num.items():
+        totals[i] += v * packed[p]
+    if commute:
+        packed = x._packed_rows(w)
+        for (i, p), v in y.num.items():
+            totals[i] -= v * packed[p]
     mask = (1 << w) - 1
     half = 1 << (w - 1)
     bias = half * (((1 << (w * size)) - 1) // mask)
@@ -118,17 +121,18 @@ class OpMatrix:
     and d is a positive int with gcd(d, every entry) = 1, so equal matrices
     have equal (size, num, d). Arithmetic runs on these ints; `terms`,
     `rows` and `dump` are views built when read. `_packed` caches the rows
-    `_kernel` packed last, as (w, rows); it is derived and not part of ==.
+    `_kernel` packed last, as (w, rows), and `_scalar` the answer of
+    `_is_scalar`, None until asked; both are derived and not part of ==.
     """
 
-    __slots__ = ("size", "num", "d", "_packed")
+    __slots__ = ("size", "num", "d", "_packed", "_scalar")
 
     def __init__(self, size: int, terms: Mapping[tuple, Rat]):
         for i, j in terms:
             if type(i) is not int or type(j) is not int or not (0 <= i < size and 0 <= j < size):
                 raise ValueError(f"entry position {(i, j)} is not in a {size} x {size} matrix")
         entries = {key: _as_rat(c) for key, c in terms.items()}
-        self.size, self._packed = size, None
+        self.size, self._packed, self._scalar = size, None, None
         self.d = d = math.lcm(*(c.denominator for c in entries.values()))
         self.num = {key: c.numerator * (d // c.denominator) for key, c in entries.items() if c}
 
@@ -140,7 +144,7 @@ class OpMatrix:
             num = {key: v // g for key, v in num.items()}
             d //= g
         mat = cls.__new__(cls)
-        mat.size, mat.num, mat.d, mat._packed = size, num, d, None
+        mat.size, mat.num, mat.d, mat._packed, mat._scalar = size, num, d, None, None
         return mat
 
     def _packed_rows(self, w: int) -> list:
@@ -217,14 +221,27 @@ class OpMatrix:
         return OpMatrix._of(self.size, num, self.d * s.denominator)
 
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
-        return NotImplemented if self._check(other) is None else _kernel(self, other, False)
+        """The product self @ other. When either operand is a scalar
+        matrix c I, the product is the other operand scaled by c through
+        `__rmul__`; every other product, the zero matrix's included, runs
+        in `_kernel`."""
+        if self._check(other) is None:
+            return NotImplemented
+        if self._is_scalar():
+            return other.__rmul__(Rat(self.num[0, 0], self.d))
+        if other._is_scalar():
+            return self.__rmul__(Rat(other.num[0, 0], other.d))
+        return _kernel(self, other, False)
 
     def _is_scalar(self) -> bool:
         """True for a nonzero multiple of the identity: a nonzero (0, 0)
-        entry and `size` entries, each on the diagonal and equal to it."""
-        c = self.num.get((0, 0))
-        return (c is not None and len(self.num) == self.size
-                and all(i == j and v == c for (i, j), v in self.num.items()))
+        entry and `size` entries, each on the diagonal and equal to it.
+        Found once per matrix and kept in `_scalar`."""
+        if self._scalar is None:
+            c = self.num.get((0, 0))
+            self._scalar = (c is not None and len(self.num) == self.size
+                            and all(i == j and v == c for (i, j), v in self.num.items()))
+        return self._scalar
 
     def commutator(self, other: "OpMatrix") -> "OpMatrix":
         """self @ other - other @ self, both products summed in one kernel.

@@ -1,5 +1,6 @@
 """Property-based checks of the algebraic laws the engine relies on."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from weylracah import (
     format_poly,
     parse,
     print_canonical,
+    repmat,
     weyl,
 )
 from weylracah.poly import _add_products as add_products
@@ -341,6 +343,70 @@ def test_matrix_kernel_matches_dense_fractions(pair):
     ]
     assert ma.commutator(rows_to_matrix(poly_a)).is_zero()
     assert ma.commutator(ma).is_zero()
+
+
+@st.composite
+def scalar_products(draw):
+    """A kind, a left operand c I or a matrix next to it, and a right
+    operand, as lists of rows. c is an integer, a negative integer, 1, 0 (the
+    zero matrix) or p/q with q dividing every numerator of the right
+    operand, so q cancels in the product; a near-scalar left operand is c I
+    with one off-diagonal entry set or one diagonal entry changed."""
+    size = draw(st.integers(min_value=1, max_value=6))
+    kinds = ["int", "negative", "one", "zero", "cancel"] + ["near"] * (size > 1)
+    kind = draw(st.sampled_from(kinds))
+    right = draw(st.lists(st.lists(matrix_entries, min_size=size, max_size=size),
+                          min_size=size, max_size=size))
+    if kind == "cancel":
+        q = draw(st.sampled_from(DENOMINATORS[1:]))
+        c = Rat(draw(st.integers(min_value=-(2**40), max_value=2**40)
+                     .filter(lambda p: p and math.gcd(p, q) == 1)), q)
+        right = [[q * e for e in row] for row in right]
+    else:
+        c = draw({"int": st.integers(min_value=-(2**70), max_value=2**70).filter(bool),
+                  "negative": st.integers(min_value=-(2**70), max_value=-1),
+                  "one": st.just(1), "zero": st.just(0),
+                  "near": matrix_entries.filter(bool)}[kind])
+    left = [[c if i == j else 0 for j in range(size)] for i in range(size)]
+    if kind == "near":
+        i, j = draw(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)))
+        left[i][j] = draw(matrix_entries.filter(lambda e: e and e != c))
+    return kind, left, right
+
+
+def dense_scalar(rows) -> bool:
+    """rows is c I for some nonzero c."""
+    c = rows[0][0]
+    return c != 0 and all(e == (c if i == j else 0)
+                          for i, row in enumerate(rows) for j, e in enumerate(row))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_products())
+def test_scalar_products_scale_without_the_kernel(case):
+    # a product with a scalar operand c I is the other operand scaled by
+    # c, exact and in lowest terms, without the kernel; the zero matrix and
+    # a near-scalar matrix are not scalar, so their products enter it
+    kind, left, right = case
+    assert dense_scalar(left) == (kind not in ("zero", "near"))
+    ml, mr = rows_to_matrix(left), rows_to_matrix(right)
+    kernel, calls = repmat._kernel, []
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repmat, "_kernel", counted)
+        for a, b, ra, rb in ((ml, mr, left, right), (mr, ml, right, left)):
+            before = len(calls)
+            product = a @ b
+            dense = dense_matmul(ra, rb)
+            assert product.rows == dense, kind
+            assert product.d == math.lcm(*(e.denominator for row in dense for e in row)), kind
+            assert math.gcd(product.d, *product.num.values()) == 1 and all(product.num.values())
+            scaled = dense_scalar(ra) or dense_scalar(rb)
+            assert len(calls) == before + (not scaled), kind
 
 
 # Printer cases: two ring shapes, each with a ring that every example warms

@@ -127,6 +127,38 @@ def test_assignment_validation():
         to_matrix(rc.c_pair(1, 2), pi, {**good, "x1": 0})
 
 
+def test_kept_valuation_matches_a_fresh_ring():
+    # the ring keeps the last valuation it built; on one ring, to_matrix
+    # and Poly.subs alternating between two assignments that differ only
+    # in nu1 give what each call gives on a fresh ring, and a float or an
+    # unknown name still raises right after the same values were valued
+    rc = RacahContext(4)
+    pi, op = basis(rc.ring, 2), rc.c_set((1, 2, 3))
+    alpha = max(op.terms, key=lambda a: len(op.terms[a].terms))
+    first = fixed_assignment(4, 2)
+    second = {**first, "nu1": Rat(-7, 3)}
+    assert op.terms[alpha].subs(first) != op.terms[alpha].subs(second)
+    for values in (first, second, first, second, second, first):
+        for call in ("to_matrix", "subs") if values is first else ("subs", "to_matrix"):
+            fresh = RacahContext(4)
+            fresh_op = fresh.c_set((1, 2, 3))
+            if call == "subs":
+                assert op.terms[alpha].subs(values) == fresh_op.terms[alpha].subs(values)
+            else:
+                assert to_matrix(op, pi, values) == to_matrix(fresh_op, basis(fresh.ring, 2), values)
+    float_nu = {**first, "nu1": float(first["nu1"])}  # 0.5, equal to the exact 1/2
+    for valued in (lambda: op.terms[alpha].subs(first), lambda: to_matrix(op, pi, first)):
+        valued()
+        with pytest.raises(TypeError, match="floats are not exact"):
+            op.terms[alpha].subs(float_nu)
+        valued()
+        with pytest.raises(TypeError, match="floats are not exact"):
+            rc.ring.valuation(float_nu)
+        valued()
+        with pytest.raises(ValueError, match="unknown symbol 'x1'"):
+            op.terms[alpha].subs({**first, "x1": 0})
+
+
 def test_assignment_name_errors_win_over_k_and_nu():
     # each name is looked up, unknown names and u variables failing in
     # assignment order, before the k and nu checks

@@ -54,7 +54,7 @@ def test_oracle_unit_work_counts(monkeypatch):
     spec.loader.exec_module(workloads)
     import weylracah
     from weylracah import repmat
-    from weylracah.poly import Poly
+    from weylracah.poly import Poly, Ring
     from weylracah.repmat import OpMatrix, to_matrix
     from weylracah.weyl import WeylOp
 
@@ -79,6 +79,14 @@ def test_oracle_unit_work_counts(monkeypatch):
     monkeypatch.setattr(OpMatrix, "__add__", counted("add", OpMatrix.__add__))
     monkeypatch.setattr(Poly, "subs", counted("poly_subs", Poly.subs))
     monkeypatch.setattr(WeylOp, "subs", counted("weyl_subs", WeylOp.subs))
+    valuations = []  # every (mask, value) returned, kept alive so identity tells builds apart
+    valuation = counted("valuation", Ring.valuation)
+
+    def kept(*args):
+        valuations.append(valuation(*args))
+        return valuations[-1]
+
+    monkeypatch.setattr(Ring, "valuation", kept)
     contexts = []
     init = weylracah.racah.RacahContext.__init__
 
@@ -99,17 +107,23 @@ def test_oracle_unit_work_counts(monkeypatch):
     # apply runs once per distinct derivative exponent of the unit's
     # operators (10 of them), forming that derivative's rows on the whole
     # basis, which the unit's fresh ring keeps for its 56 matrices; the
-    # kernel runs 301 - 31 - 165 + 117 = 222 times: 301 commutators less the
-    # 31 of a subset with itself and the 165 more with a scalar operand (the
-    # five singletons and C_{1..5}), plus the 117 products; each distinct
-    # sum of the 41 trees is formed once in the shared cache, by 162 additions;
-    # to_matrix values the operators' coefficients without substituting them,
-    # so the only substitutions are the 30 of the trees' scalar leaves
+    # kernel runs 301 - 31 - 165 + 117 - 107 = 115 times: 301 commutators
+    # less the 31 of a subset with itself and the 165 more with a scalar
+    # operand (the five singletons and C_{1..5}), plus the 117 products less
+    # the 107 with a scalar operand (a scalar leaf is c I), which scale the
+    # other operand instead; it ran 222 times when those products entered
+    # it too. Each distinct sum of the 41 trees is formed once in the shared
+    # cache, by 162 additions; to_matrix values the operators' coefficients
+    # without substituting them, so the only substitutions are the 30 of the
+    # trees' scalar leaves. The 56 to_matrix and 30 Poly.subs calls all
+    # carry the unit's one assignment, so its ring builds one valuation for
+    # all 86 calls; each call built its own before the ring kept the last
     assert counts == {
         "to_matrix": 56, "matmul": 117, "nnz_in": 9505, "commutator": 301, "apply": 10,
-        "kernel": 222, "add": 162, "poly_subs": 30,
+        "kernel": 115, "add": 162, "poly_subs": 30, "valuation": 86,
     }
     assert counts["weyl_subs"] == 0
+    assert len({id(value) for _, value in valuations}) == 1
     # each of the 10 embedded pair trees is built once, in the unit's context
     unit_ctx = contexts[-1]
     assert len(unit_ctx.embedded_pairs) == 10 and len(unit_ctx.ring._rows) == 10
@@ -182,7 +196,7 @@ def test_racah_unit_work_counts(monkeypatch):
     # three entries each and its 15 disjoint entries one, 45 reads of 45
     # distinct entries; the 301 checks read none, and no entry is mapped back
     # to u-coordinates
-    from weylracah.poly import Poly
+    from weylracah.poly import Poly, Ring
     from weylracah.racah import RacahContext, check_racah_structure
     from weylracah.weyl import WeylOp
 
