@@ -8,16 +8,16 @@
     list   := uint (',' uint)*
 
 Juxtaposition multiplies, so formulas transcribe naturally:
-"d1 u1 - u1 d1" normalizes to 1. Each named atom, a symbol such as u3 or
-a generator reference such as C[1,3], is one entry of ATOMS: the parser
-checks a name against its entry and `elaborate` calls its constructor.
+"d1 u1 - u1 d1" normalizes to 1. Each parser rule returns a builder, a function
+of the context that forms its operator. Each named atom, a symbol such as u3
+or a generator reference such as C[1,3], is one entry of ATOMS: the parser
+checks a name against its entry and the builder calls its constructor.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, NamedTuple
 
@@ -30,7 +30,7 @@ __all__ = ["ParseError", "parse", "elaborate", "commutator"]
 
 # Largest exponent after '^'; each power of an operator grows its Leibniz expansion.
 MAX_EXPONENT = 64
-# Deepest nesting of '(' and unary '-'; the parser and `elaborate` recurse per level.
+# Deepest nesting of '(' and unary '-'; the parser and the builders recurse per level.
 MAX_DEPTH = 64
 # Most work that the products and sums of one `elaborate` call, or of one
 # `commute` request with its commutator, may do together, in the units that
@@ -82,43 +82,6 @@ ATOMS = {
 }
 
 
-# -- AST ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: Rat
-
-
-@dataclass(frozen=True)
-class Ref:
-    name: str  # the named atom's key in ATOMS
-    args: tuple
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Sum:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Prod:
-    parts: tuple
-
-
-# -- tokenizer ------------------------------------------------------------------
-
 _TOKEN_RE = re.compile(
     r"(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<punct>[][{}(),+\-*^])"
     r"|(?P<error>\S)"
@@ -147,8 +110,7 @@ class _Parser:
         self.text = text
         self.ctx = ctx
         self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
+        self.pos = self.depth = 0
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -174,11 +136,11 @@ class _Parser:
     def parse(self):
         if not self.tokens:
             raise ParseError("empty expression", 0)
-        ast = self.expr()
+        build = self.expr()
         tok = self._peek()
         if tok is not None:
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return ast
+        return build
 
     def expr(self):
         parts = [self.term()]
@@ -186,9 +148,11 @@ class _Parser:
             if self._accept("+"):
                 parts.append(self.term())
             elif self._accept("-"):
-                parts.append(Neg(self.term()))
+                parts.append(_negated(self.term()))
+            elif len(parts) == 1:
+                return parts[0]
             else:
-                return parts[0] if len(parts) == 1 else Sum(tuple(parts))
+                return lambda ctx: reduce(operator.add, (_charged(part(ctx)) for part in parts))
 
     def term(self):
         parts = [self.factor()]
@@ -196,8 +160,10 @@ class _Parser:
             tok = self._peek()
             if self._accept("*") or tok is not None and (tok[0] != "punct" or tok[1] == "("):
                 parts.append(self.factor())
+            elif len(parts) == 1:
+                return parts[0]
             else:
-                return parts[0] if len(parts) == 1 else Prod(tuple(parts))
+                return lambda ctx: reduce(operator.mul, [part(ctx) for part in parts])
 
     def factor(self):
         base = self.atom()
@@ -209,7 +175,8 @@ class _Parser:
         exponent = digits.lstrip("0") or "0"
         if len(exponent) > 2 or int(exponent) > MAX_EXPONENT:
             raise ParseError(f"exponent {digits} exceeds the limit {MAX_EXPONENT}", where)
-        return Pow(base, int(exponent))
+        exponent = int(exponent)
+        return lambda ctx: reduce(operator.mul, [base(ctx)] * exponent, WeylOp.identity(ctx.ring))
 
     def atom(self):
         kind, value, where = self._next()
@@ -218,7 +185,8 @@ class _Parser:
             den = _int(den or "1", where)
             if not den:
                 raise ParseError("rational literal with zero denominator", where)
-            return Num(Rat(_int(num, where), den))
+            value = Rat(_int(num, where), den)
+            return lambda ctx: WeylOp.scalar(ctx.ring, value)
         if kind == "name":
             return self.ref(value, where)
         if value in ("(", "-"):
@@ -226,12 +194,12 @@ class _Parser:
                 raise ParseError(f"nesting deeper than the limit {MAX_DEPTH}", where)
             self.depth += 1
             if value == "(":
-                node = self.expr()
+                build = self.expr()
                 self._expect(")")
             else:
-                node = Neg(self.factor())
+                build = _negated(self.factor())
             self.depth -= 1
-            return node
+            return build
         raise ParseError(f"unexpected {value!r}", where)
 
     def _list(self, close: str) -> list:
@@ -248,7 +216,7 @@ class _Parser:
             if punct != ",":
                 raise ParseError(f"expected ',' or {close!r}, found {punct!r}", where)
 
-    def ref(self, name: str, where: int) -> Ref:
+    def ref(self, name: str, where: int):
         """A named atom, checked against its ATOMS entry."""
         bracketed = self._accept("[")
         subset = bracketed and self._accept("{")
@@ -271,26 +239,27 @@ class _Parser:
         for i in args:
             if not 1 <= i <= limit:
                 raise ParseError(f"{name} index {i} out of range 1..{limit}", where)
-        return Ref(key, tuple(args))
+        return lambda ctx: ATOMS[key].build(ctx, *args)
 
 
-def parse(text: str, ctx: RacahContext):
-    """Parse an expression against a context; raises ParseError with position."""
+def parse(text: str, ctx: RacahContext) -> Callable[[RacahContext], WeylOp]:
+    """An expression's builder, checked against a context but not yet called:
+    pass it to `elaborate` or `commutator`. Raises ParseError with position."""
     return _Parser(text, ctx).parse()
 
 
-def elaborate(ast, ctx: RacahContext) -> WeylOp:
-    """Evaluate an AST to a normal-form operator via the module constructors,
-    with one budget of MAX_PRODUCT_WORK for every product formed meanwhile, in
-    an atom's constructor or for a factor of a power too."""
+def elaborate(build, ctx: RacahContext) -> WeylOp:
+    """A builder's normal-form operator via the module constructors, with one
+    budget of MAX_PRODUCT_WORK for every product formed meanwhile, in an
+    atom's constructor or for a factor of a power too."""
     with _Budget("an expression"):
-        return _value(ast, ctx)
+        return build(ctx)
 
 
 def commutator(lhs, rhs, ctx: RacahContext) -> WeylOp:
-    """The commutator of two ASTs' operators, with one budget for both and for it."""
+    """The commutator of two builders' operators, with one budget for both and for it."""
     with _Budget("a commute request"):
-        return _value(lhs, ctx).commutator(_value(rhs, ctx))
+        return lhs(ctx).commutator(rhs(ctx))
 
 
 class _Budget:
@@ -317,24 +286,15 @@ class _Budget:
 
 
 def _charged(op: WeylOp) -> WeylOp:
-    """op, its coefficient terms charged to the request's budget: what adding
-    it into a sum costs, so a long sum of cached atoms is refused in time."""
-    CHARGE.get()(sum(len(p.terms) for p in op.terms.values()))
+    """op, its coefficient terms charged to the request's budget, if one is
+    open: what adding it into a sum costs, so a long sum of cached atoms is
+    refused in time."""
+    charge = CHARGE.get()
+    if charge is not None:
+        charge(sum(len(p.terms) for p in op.terms.values()))
     return op
 
 
-def _value(node, ctx: RacahContext) -> WeylOp:
-    if isinstance(node, Num):
-        return WeylOp.scalar(ctx.ring, node.value)
-    if isinstance(node, Ref):
-        return ATOMS[node.name].build(ctx, *node.args)
-    if isinstance(node, Neg):
-        return -_value(node.arg, ctx)
-    if isinstance(node, Pow):
-        base = _value(node.base, ctx)
-        return reduce(operator.mul, [base] * node.exponent, WeylOp.identity(ctx.ring))
-    if isinstance(node, Sum):
-        return reduce(operator.add, (_charged(_value(part, ctx)) for part in node.parts))
-    if isinstance(node, Prod):
-        return reduce(operator.mul, [_value(part, ctx) for part in node.parts])
-    raise TypeError(f"not an AST node: {node!r}")
+def _negated(build):
+    return lambda ctx: -build(ctx)
+

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import charged, random_weyl
-from weylracah import dsl, weyl
+from weylracah import dsl, racah, weyl
 from weylracah import (
     ParseError,
     RacahContext,
@@ -228,8 +228,7 @@ def test_round_trip_random_ops(rc):
 
 def test_exponent_limit(rc):
     # parsed only: an over-limit power is never built
-    assert parse("d1^64", rc).exponent == 64
-    assert parse("d1^0064", rc).exponent == 64
+    assert run("d1^0064", rc) == run("d1^64", rc)
     for text in ("d1^65", "u1^99999999999", "(d1 + u1)^100"):
         with pytest.raises(ParseError) as info:
             parse(text, rc)
@@ -247,9 +246,10 @@ def test_nesting_limit(rc, capsys):
             opens + "u1" + ")" * opens.count("("),
         ]
 
+    # the builders nest as deep as the parse, and elaborate without a RecursionError
     for text in nested(64):
-        parse(text, rc)
-    parse("-" * 64 + "u1 - " + "-" * 64 + "u1", rc)
+        assert run(text, rc) == WeylOp.from_poly(rc.ring.u(1))
+    assert run("-" * 64 + "u1 - " + "-" * 64 + "u1", rc) == WeylOp.zero(rc.ring)
     for depth in (65, 1000):
         for text in nested(depth):
             with pytest.raises(ParseError) as info:
@@ -258,6 +258,40 @@ def test_nesting_limit(rc, capsys):
             assert "limit 64" in str(info.value)
     assert run_cli(["normalize", "--n", "3", "--expr", nested(1000)[0]]) == 2
     assert "limit 64" in capsys.readouterr().err
+
+
+def test_parsing_builds_nothing(monkeypatch):
+    # parse only checks the text: no product, kernel step or atom constructor
+    # runs until the builder it returns is called
+    rc5 = RacahContext(5)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(WeylOp, "__mul__", counted("__mul__", WeylOp.__mul__))
+    monkeypatch.setattr(WeylOp, "_leibniz", counted("_leibniz", WeylOp._leibniz))
+    for module in (weyl, racah):
+        monkeypatch.setattr(module, "_compose_into", counted("_compose_into", weyl._compose_into))
+    for key, atom in dsl.ATOMS.items():
+        monkeypatch.setitem(dsl.ATOMS, key, atom._replace(build=counted(key, atom.build)))
+    for text in ("(u1+u2+u3+d1+d2+d3)^64", "C[{1,2,3,4,5}]^64 L1[5]"):
+        parse(text, rc5)
+    assert calls == []
+    # the counters see the work once a builder is called
+    assert run("C[1,2] d1", rc5) == rc5.c_pair(1, 2) * WeylOp.partial(rc5.ring, 1)
+    assert {"C", "d", "__mul__", "_leibniz", "_compose_into"} <= set(calls)
+
+
+def test_builders_run_outside_a_budget(rc):
+    # a sum charges its parts only when a request's budget is open
+    assert weyl.CHARGE.get() is None
+    for text in ("u1 + d1", "C[1,2] - 2 C[3] + (d1 + u2)^2"):
+        assert parse(text, rc)(rc) == run(text, rc)
 
 
 def test_kernel_charges_each_step():
